@@ -101,50 +101,53 @@ def _generate(args) -> int:
         perm[old] = new
     from .graph_core import relabel
 
-    if args.kind in ("dpow", "cdpow"):
-        graph = relabel(directed_power_graph(G), perm)
-    elif args.kind == "pow":
-        graph = relabel(power_graph(G), perm)
-    else:
-        graph = relabel(enhanced_power_graph(G), perm)
+    build = {"pow": power_graph, "epow": enhanced_power_graph}.get(
+        args.kind, directed_power_graph
+    )
+    graph = relabel(build(G), perm)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_graph(graph, with_colors=args.kind == "cdpow"))
     return EXIT_OK
 
 
-def _detect(args) -> int:
-    graph = load_graph(args.input)
+def _load_undirected(path, command):
+    graph = load_graph(path)
     if not isinstance(graph, ColoredGraph):
-        raise GraphFormatError("detect expects an undirected graph file")
-    marker = mark_ccg_power if args.kind == "pow" else mark_ccg_enhanced
-    marking = marker(graph)
+        raise GraphFormatError(f"{command} expects an undirected graph file")
+    return graph
+
+
+def _marker(kind):
+    return mark_ccg_power if kind == "pow" else mark_ccg_enhanced
+
+
+def _detect(args) -> int:
+    graph = _load_undirected(args.input, "detect")
+    marking = _marker(args.kind)(graph)
     for v in marking.cc_vertices:
         print(f"{v} {graph.degree(v) + 1}")
     return EXIT_OK
 
 
 def _reconstruct(args) -> int:
-    graph = load_graph(args.input)
-    if not isinstance(graph, ColoredGraph):
-        raise GraphFormatError("reconstruct expects an undirected graph file")
-    marker = mark_ccg_power if args.kind == "pow" else mark_ccg_enhanced
-    r4 = r4_from_marked_graph(graph, marker(graph))
-    stage = args.emit_stage
-    with_colors = True
-    if stage == "r4":
-        out = r4.to_colored_graph()
-    else:
-        out = r3_from_r4(r4)
-        if stage != "r3":
-            out = r2_from_r3(out)
-            if stage != "r2":
-                out = r1_from_r2(out)
-                if stage != "r1":
-                    out = cdpow_from_r1(out)
-                    if stage == "dpow":
-                        with_colors = False
+    graph = _load_undirected(args.input, "reconstruct")
+    # built per call, so each stage is looked up in this module when it runs
+    stages = (
+        ("r4", lambda g: r4_from_marked_graph(g, _marker(args.kind)(g))),
+        ("r3", r3_from_r4),
+        ("r2", r2_from_r3),
+        ("r1", r1_from_r2),
+        ("cdpow", cdpow_from_r1),  # "dpow" is cdpow written without colors
+    )
+    out = graph
+    for name, stage in stages:
+        out = stage(out)
+        if name == args.emit_stage:
+            break
+    if args.emit_stage == "r4":
+        out = out.to_colored_graph()
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(out, with_colors=with_colors))
+        fh.write(format_graph(out, with_colors=args.emit_stage != "dpow"))
     return EXIT_OK
 
 
@@ -166,9 +169,7 @@ def _iso(args) -> int:
 
 
 def _verify(args) -> int:
-    graph = load_graph(args.input)
-    if not isinstance(graph, ColoredGraph):
-        raise GraphFormatError("verify expects an undirected graph file")
+    graph = _load_undirected(args.input, "verify")
     if args.kind == "pow":
         dpow = dpow_from_power_graph(graph)
         back = pow_from_dpow(dpow)

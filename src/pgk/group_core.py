@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CayleyTableError, GroupSpecError
-from .numtheory import is_prime, prime_factorization
+from .numtheory import is_power_of, is_prime, prime_factorization
 
 __all__ = [
     "FiniteGroup",
@@ -369,16 +369,10 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     closed under the product (all Sylow subgroups normal)."""
     orders = G.element_orders
     for p, _ in prime_factorization(G.order):
-        sylow = [g for g in range(G.order) if _is_power_of(orders[g], p)]
+        sylow = [g for g in range(G.order) if is_power_of(orders[g], p)]
         members = set(sylow)
         for a in sylow:
             row = G.table[a]
             if any(row[b] not in members for b in sylow):
                 return False
     return True
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import PipelineError
 from .graph_core import ColoredDiGraph, ColoredGraph, induced_subgraph
-from .numtheory import is_prime, prime_factorization
+from .numtheory import is_power_of, is_prime, prime_factorization
 from .reconstruction import dpow_from_enhanced_graph, dpow_from_power_graph
 from .reductions import reduce_r1, reduce_r2, reduce_r3
 
@@ -25,15 +25,9 @@ def p_component(D: ColoredDiGraph, p: int) -> ColoredDiGraph:
     power graph of a Sylow subgroup."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    keep = [v for v in range(D.n) if _is_p_power(D.colors[v], p)]
+    keep = [v for v in range(D.n) if is_power_of(D.colors[v], p)]
     sub, _ = induced_subgraph(D, keep)
     return sub
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def canonical_tree_code(T: ColoredGraph) -> str:
@@ -77,7 +71,7 @@ def _r3_of(D: ColoredDiGraph) -> ColoredGraph:
 def _check_nilpotent_shape(D: ColoredDiGraph, primes) -> None:
     prod = 1
     for p in primes:
-        prod *= sum(1 for c in D.colors if _is_p_power(c, p))
+        prod *= sum(1 for c in D.colors if is_power_of(c, p))
     if prod != D.n:
         raise PipelineError(
             "input not recognized as the directed power graph of a nilpotent "

@@ -12,6 +12,7 @@ __all__ = [
     "divisors",
     "is_prime",
     "is_prime_power",
+    "is_power_of",
     "phi_table",
 ]
 
@@ -89,6 +90,16 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     if len(fact) == 1:
         return fact[0]
     return None
+
+
+def is_power_of(n: int, p: int) -> bool:
+    """True iff n = p^k for some k >= 0, so 1 is a power of every p."""
+    _check_positive(n)
+    if p < 2:
+        raise ValueError(f"base must be at least 2, got {p}")
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def phi_table(limit: int) -> list[int]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
 from .graph_core import ColoredDiGraph, ColoredGraph
-from .numtheory import divisors, euler_phi, is_prime
-from .reductions import R4Graph, hasse_divisor_graph
+from .numtheory import euler_phi, is_prime
+from .reductions import R4Graph, hasse_divisor_graph, reachability
 
 __all__ = [
     "Algorithm3Step",
@@ -68,10 +68,10 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
 class Algorithm3Step:
     """Snapshot after one gluing iteration.
 
-    `graph` is the accumulated graph relabeled to [0, n); `vertex_ids`
-    maps its labels back to the internal ids, which are stable across
-    steps; `identified` holds the ids of old vertices that absorbed a
-    vertex of the newly introduced Hasse diagram in this iteration.
+    `graph` is the accumulated graph; its vertex ids are given out in
+    creation order, so they are stable across steps and `vertex_ids` is
+    `range(graph.n)`.  `identified` holds the old vertices that absorbed
+    a vertex of the newly introduced Hasse diagram in this iteration.
     """
 
     graph: ColoredGraph
@@ -79,61 +79,61 @@ class Algorithm3Step:
     identified: frozenset[int]
 
 
+def _glue(X: R4Graph):
+    """Glue the divisor Hasse diagram of each CCG color in turn, yielding
+    (colors, edges, identified) after each; the state is mutated in place.
+
+    A cyclic group has exactly one subgroup per divisor of its order, so
+    in R3 the descendants of g_s are one vertex per divisor of col(g_s).
+    `lattices[s]` maps each such divisor to its vertex, and the diagram
+    of g_j shares with g_s exactly the divisors of their intersection
+    color c: gluing reads them off `lattices[s]`, with no search of the
+    graph.
+    """
+    if X.m == 0:
+        raise PipelineError("R4 graph with no CCG vertices")
+    colors: list[int] = []
+    edges: set[tuple[int, int]] = set()
+    lattices: list[dict[int, int]] = []  # per g_s: divisor -> vertex id
+    for j, cj in enumerate(X.ccg_colors):
+        lattice: dict[int, int] = {}
+        for s in range(j):
+            cs, c = X.ccg_colors[s], X.intersection_colors.get((s, j))
+            if c is None or c < 1 or cs % c or cj % c:
+                raise PipelineError(
+                    f"CCG pair ({s}, {j}) needs an intersection color "
+                    f"dividing both colors {cs} and {cj}, got {c}"
+                )
+            for d, u in lattices[s].items():
+                if c % d == 0 and lattice.setdefault(d, u) != u:
+                    raise PipelineError(
+                        "conflicting identification: R4 violates the "
+                        "pairwise-intersection divisibility structure"
+                    )
+        identified = frozenset(lattice.values())
+        hasse = hasse_divisor_graph(cj)
+        for d in hasse.colors:
+            if d not in lattice:
+                lattice[d] = len(colors)
+                colors.append(d)
+        ids = [lattice[d] for d in hasse.colors]
+        edges.update(
+            (min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in hasse.edges
+        )
+        lattices.append(lattice)
+        yield colors, edges, identified
+
+
 def r3_from_r4_steps(X: R4Graph) -> list[Algorithm3Step]:
     """Run the R4 -> R3 gluing and return every intermediate state."""
-    colors: dict[int, int] = {}
-    edges: set[tuple[int, int]] = set()
-    tops: list[int] = []  # id of the vertex standing for g_s
-    next_id = 0
-    steps: list[Algorithm3Step] = []
-
-    for j in range(X.m):
-        cj = X.ccg_colors[j]
-        divs = divisors(cj)
-        y_id = {d: next_id + k for k, d in enumerate(divs)}
-        next_id += len(divs)
-        y_edges = [
-            (y_id[a], y_id[b])
-            for a in divs
-            for b in divs
-            if b > a and b % a == 0 and is_prime(b // a)
-        ]
-
-        # pair old vertices with equal-colored vertices of the new diagram
-        assigned: dict[int, int] = {}  # y vertex id -> old id
-        for s in range(j):
-            c_int = X.intersection_color(s, j)
-            for u in _descendant_ids(colors, edges, tops[s]):
-                if c_int % colors[u] == 0:
-                    y = y_id[colors[u]]
-                    if assigned.get(y, u) != u:
-                        raise PipelineError(
-                            "conflicting identification: R4 violates the "
-                            "pairwise-intersection divisibility structure"
-                        )
-                    assigned[y] = u
-        replace = {y: u for y, u in assigned.items()}
-        for d in divs:
-            y = y_id[d]
-            if y not in replace:
-                colors[y] = d
-                replace[y] = y
-        for a, b in y_edges:
-            u, v = replace[a], replace[b]
-            edges.add((min(u, v), max(u, v)))
-        tops.append(replace[y_id[cj]])
-
-        ids = tuple(sorted(colors))
-        index = {vid: k for k, vid in enumerate(ids)}
-        snapshot = ColoredGraph(
-            len(ids),
-            tuple(colors[vid] for vid in ids),
-            frozenset((index[u], index[v]) for u, v in edges),
+    return [
+        Algorithm3Step(
+            ColoredGraph(len(colors), tuple(colors), frozenset(edges)),
+            tuple(range(len(colors))),
+            identified,
         )
-        steps.append(
-            Algorithm3Step(snapshot, ids, frozenset(assigned.values()))
-        )
-    return steps
+        for colors, edges, identified in _glue(X)
+    ]
 
 
 def r3_from_r4(X: R4Graph) -> ColoredGraph:
@@ -143,27 +143,9 @@ def r3_from_r4(X: R4Graph) -> ColoredGraph:
     each further CCG vertex, glues in its own diagram along the shared
     divisors dictated by the pairwise intersection colors.
     """
-    if X.m == 0:
-        raise PipelineError("R4 graph with no CCG vertices")
-    if X.m == 1:
-        return hasse_divisor_graph(X.ccg_colors[0])
-    return r3_from_r4_steps(X)[-1].graph
-
-
-def _descendant_ids(colors, edges, start):
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w not in seen and colors[w] < colors[u]:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    for colors, edges, _ in _glue(X):
+        pass
+    return ColoredGraph(len(colors), tuple(colors), frozenset(edges))
 
 
 def r2_from_r3(X: ColoredGraph) -> ColoredDiGraph:
@@ -185,44 +167,25 @@ def r2_from_r3(X: ColoredGraph) -> ColoredDiGraph:
 
 def r1_from_r2(X: ColoredDiGraph) -> ColoredDiGraph:
     """Reflexive and transitive closure."""
-    arcs = set()
-    for v in range(X.n):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in X.out_neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        arcs.update((v, w) for w in seen)
+    arcs = {(v, w) for v, reach in enumerate(reachability(X)) for w in reach}
     return ColoredDiGraph(X.n, X.colors, frozenset(arcs))
 
 
 def cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
     """Blow each R1 vertex u up into a cluster of euler_phi(col(u))
     mutually adjacent closed twins, preserving inter-cluster arcs."""
-    offsets = []
-    total = 0
-    for v in range(X.n):
-        offsets.append(total)
-        total += euler_phi(X.colors[v])
-    clusters = [
-        range(offsets[v], offsets[v] + euler_phi(X.colors[v])) for v in range(X.n)
-    ]
-    colors = [0] * total
+    clusters = []
+    colors: list[int] = []
     arcs = set()
-    for v in range(X.n):
-        for a in clusters[v]:
-            colors[a] = X.colors[v]
-            for b in clusters[v]:
-                arcs.add((a, b))  # includes the self-loop
+    for c in X.colors:
+        cluster = range(len(colors), len(colors) + euler_phi(c))
+        clusters.append(cluster)
+        colors += [c] * len(cluster)
+        arcs.update((a, b) for a in cluster for b in cluster)  # with self-loops
     for u, v in X.arcs:
         if u != v:
-            for a in clusters[u]:
-                for b in clusters[v]:
-                    arcs.add((a, b))
-    return ColoredDiGraph(total, tuple(colors), frozenset(arcs))
+            arcs.update((a, b) for a in clusters[u] for b in clusters[v])
+    return ColoredDiGraph(len(colors), tuple(colors), frozenset(arcs))
 
 
 def _dpow_pipeline(Gamma: ColoredGraph, marking: CcgMarking) -> ColoredDiGraph:

@@ -28,6 +28,7 @@ __all__ = [
     "reduce_r3",
     "reduce_r4",
     "descendants",
+    "reachability",
     "ccg_vertices_in_r3",
     "hasse_divisor_graph",
     "verify_r2_structure",
@@ -226,7 +227,7 @@ def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
 
     sources_ok = True
     if acyclic:
-        reach = _reachability(X)
+        reach = reachability(X)
         indeg0 = {v for v in range(X.n) if X.in_degree(v) == 0}
         for v in range(X.n):
             dominated = any(v in reach[w] for w in range(X.n) if w != v)
@@ -264,10 +265,11 @@ def _is_acyclic(X: ColoredDiGraph) -> bool:
     return True
 
 
-def _reachability(X: ColoredDiGraph):
+def reachability(X: ColoredDiGraph) -> list[set[int]]:
+    """reach[v] is the set of vertices reachable from v, v included."""
     reach = []
     for v in range(X.n):
-        seen = set()
+        seen = {v}
         stack = [v]
         while stack:
             u = stack.pop()

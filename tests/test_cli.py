@@ -2,13 +2,21 @@ from collections import Counter
 
 import pytest
 
+from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.cli import main
-from pgk.graph_core import load_graph, save_graph
+from pgk.graph_core import format_graph, load_graph, save_graph
 from pgk.group_core import cyclic_group, direct_product
 from pgk.powergraph_build import (
     directed_power_graph,
     enhanced_power_graph,
     power_graph,
+)
+from pgk.reconstruction import (
+    cdpow_from_r1,
+    r1_from_r2,
+    r2_from_r3,
+    r3_from_r4,
+    r4_from_marked_graph,
 )
 
 from helpers import s3_cayley_text
@@ -159,9 +167,48 @@ class TestReconstruct:
         D = load_graph(out)
         assert Counter(D.colors) == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
 
+    @pytest.mark.parametrize("kind", ["pow", "epow"])
+    @pytest.mark.parametrize("stage", ["r4", "r3", "r2", "r1", "cdpow", "dpow"])
+    def test_every_stage_matches_library(self, tmp_path, kind, stage):
+        G = direct_product(cyclic_group(2), cyclic_group(6))
+        build = power_graph if kind == "pow" else enhanced_power_graph
+        src, out = tmp_path / "in.graph", tmp_path / "out.graph"
+        save_graph(build(G), src, with_colors=False)
+        assert run(
+            "reconstruct", str(src), "--kind", kind,
+            "--out", str(out), "--emit-stage", stage,
+        ) == 0
+        graph = load_graph(src)
+        marker = mark_ccg_power if kind == "pow" else mark_ccg_enhanced
+        r4 = r4_from_marked_graph(graph, marker(graph))
+        r3 = r3_from_r4(r4)
+        r2 = r2_from_r3(r3)
+        r1 = r1_from_r2(r2)
+        cdpow = cdpow_from_r1(r1)
+        expected = {
+            "r4": r4.to_colored_graph(), "r3": r3, "r2": r2, "r1": r1,
+            "cdpow": cdpow, "dpow": cdpow,
+        }[stage]
+        assert out.read_text() == format_graph(
+            expected, with_colors=stage != "dpow"
+        )
+
     def test_pipeline_error_exit_4(self, tmp_path):
         src = tmp_path / "c5.graph"
         src.write_text("graph 5\nnocolors\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        out = tmp_path / "o.graph"
+        assert run("reconstruct", str(src), "--kind", "pow", "--out", str(out)) == 4
+
+
+    def test_malformed_intersection_exit_4(self, tmp_path):
+        # detection passes, but an R4 intersection color fails to divide
+        # both CCG colors; gluing must report it, not crash
+        src = tmp_path / "g7.graph"
+        src.write_text(
+            "graph 7\nnocolors\n"
+            + "".join(f"0 {v}\n" for v in range(1, 7))
+            + "1 3\n1 4\n1 5\n1 6\n2 4\n2 5\n2 6\n3 6\n4 5\n4 6\n5 6\n"
+        )
         out = tmp_path / "o.graph"
         assert run("reconstruct", str(src), "--kind", "pow", "--out", str(out)) == 4
 

@@ -7,6 +7,7 @@ from pgk.numtheory import (
     divisors,
     euler_phi,
     is_prime,
+    is_power_of,
     is_prime_power,
     phi_table,
     prime_factorization,
@@ -79,6 +80,26 @@ class TestIsPrimePower:
     def test_iff_single_prime_factor(self, n):
         present = is_prime_power(n) is not None
         assert present == (len(prime_factorization(n)) == 1)
+
+
+class TestIsPowerOf:
+    def test_examples(self):
+        assert is_power_of(1, 3)
+        assert is_power_of(27, 3)
+        assert not is_power_of(12, 2)
+        assert not is_power_of(5, 2)
+
+    def test_rejects_bad_arguments(self):
+        # n = 0 or p = 1 would divide forever
+        with pytest.raises(ValueError):
+            is_power_of(0, 2)
+        with pytest.raises(ValueError):
+            is_power_of(4, 1)
+
+    @given(st.integers(min_value=1, max_value=10**5), st.integers(2, 50))
+    def test_matches_power_list(self, n, p):
+        powers = {p**k for k in range(n.bit_length() + 1)}
+        assert is_power_of(n, p) == (n in powers)
 
 
 class TestPhiTable:

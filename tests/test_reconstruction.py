@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.errors import PipelineError
@@ -84,6 +85,14 @@ class TestR4FromMarkedGraph:
             r4_from_marked_graph(Gamma, CcgMarking((NC,) * 4, ()))
 
 
+@st.composite
+def r4_graphs(draw):
+    """Arbitrary R4 summaries: m <= 5, colors 1-12, every pair present."""
+    colors = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    pairs = [(i, j) for j in range(len(colors)) for i in range(j)]
+    return R4Graph(tuple(colors), {p: draw(st.integers(1, 12)) for p in pairs})
+
+
 class TestR3FromR4:
     def test_single_ccg_gives_divisor_diagram(self):
         r4 = R4Graph(ccg_colors=(12,), intersection_colors={})
@@ -112,6 +121,27 @@ class TestR3FromR4:
     def test_rejects_no_ccg(self):
         with pytest.raises(PipelineError):
             r3_from_r4(R4Graph(ccg_colors=(), intersection_colors={}))
+
+    def test_rejects_intersection_not_dividing_both_colors(self):
+        with pytest.raises(PipelineError, match="dividing both colors"):
+            r3_from_r4(R4Graph((2, 3), {(0, 1): 2}))
+
+    def test_rejects_missing_pair(self):
+        with pytest.raises(PipelineError, match="dividing both colors"):
+            r3_from_r4(R4Graph((2, 2), {}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(r4_graphs())
+    def test_arbitrary_r4_gives_graph_or_pipeline_error(self, r4):
+        try:
+            r3 = r3_from_r4(r4)
+        except PipelineError:
+            return
+        # every edge comes from a divisor Hasse diagram, so R2 accepts it
+        r2_from_r3(r3)
+        assert set(r3.colors) == {
+            d for c in r4.ccg_colors for d in range(1, c + 1) if c % d == 0
+        }
 
     def test_round_trip_from_true_r3(self, catalog):
         for name, G in catalog:

@@ -21,6 +21,7 @@ from pgk.reductions import (
     ccg_vertices_in_r3,
     descendants,
     hasse_divisor_graph,
+    reachability,
     reduce_r1,
     reduce_r2,
     reduce_r3,
@@ -128,6 +129,16 @@ class TestDescendants:
         four = r3.colors.index(4)
         reached = descendants(r3, four)
         assert sorted(r3.colors[v] for v in reached) == [1, 2, 4]
+
+
+class TestReachability:
+    def test_is_reflexive(self):
+        X = ColoredDiGraph(3, (1, 1, 1), frozenset({(0, 1), (1, 2)}))
+        assert reachability(X) == [{0, 1, 2}, {1, 2}, {2}]
+
+    def test_follows_cycles(self):
+        X = ColoredDiGraph(3, (1, 1, 1), frozenset({(0, 1), (1, 0), (2, 2)}))
+        assert reachability(X) == [{0, 1}, {0, 1}, {2}]
 
 
 class TestReduceR4:
