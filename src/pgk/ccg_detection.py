@@ -4,24 +4,22 @@ the underlying group is not given.
 The power-graph detector works in phases over a degree-descending list,
 deciding each candidate with one of four rules; the decision for a
 candidate v looks only at the subgraph induced on its closed
-neighborhood and at labels assigned in earlier phases.  The enhanced
-detector is a greedy sweep in ascending degree order.
+neighborhood and at labels assigned in earlier phases.  That subgraph
+is never built: it is read off the closed-neighborhood bitmasks, and
+Pow(Z_d)'s reference twin profile comes from the divisors of d, with no
+group.  The enhanced detector is a greedy sweep in ascending degree
+order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PipelineError
-from .graph_core import (
-    ColoredGraph,
-    closed_twin_partition_undirected,
-    induced_subgraph,
-)
-from .group_core import cyclic_group
-from .numtheory import is_prime_power
-from .powergraph_build import power_graph
+from .graph_core import ColoredGraph, bits
+from .numtheory import divisors, euler_phi, is_prime_power
 
 __all__ = [
     "CC",
@@ -30,9 +28,7 @@ __all__ = [
     "UNLABELED",
     "CcgMarking",
     "TwinProfile",
-    "NeighborhoodPartition",
     "twin_profile",
-    "matches_cyclic_profile",
     "mark_ccg_power",
     "mark_ccg_enhanced",
 ]
@@ -71,56 +67,31 @@ class TwinProfile:
     dominating_class_size: int
 
 
-@dataclass(frozen=True)
-class NeighborhoodPartition:
-    """Split of N[v] by element order relative to o(v).
-
-    Proof machinery: only test code builds this, from a ground-truth
-    group, to exercise the twin-structure lemmas.
-    """
-
-    higher: frozenset[int]  # o(x) > o(v)
-    equal: frozenset[int]  # o(x) = o(v)
-    lower: frozenset[int]  # o(x) < o(v)
-
-    @classmethod
-    def from_orders(cls, graph: ColoredGraph, orders, v: int):
-        ov = orders[v]
-        closed = graph.closed_neighborhood(v)
-        return cls(
-            higher=frozenset(x for x in closed if orders[x] > ov),
-            equal=frozenset(x for x in closed if orders[x] == ov),
-            lower=frozenset(x for x in closed if orders[x] < ov),
-        )
+def _masked_profile(colors, masks, S: int) -> TwinProfile:
+    """Twin profile of the subgraph induced on the vertex set S (a
+    bitmask), read off the masks: u's closed neighborhood there is
+    masks[u] & S.  Classes are met in ascending order of their smallest
+    member; the dominating class is the first whose members see all of
+    S."""
+    classes = Counter((colors[u], masks[u] & S) for u in bits(S))
+    dominating = next((k for (_, nb), k in classes.items() if nb == S), 0)
+    return TwinProfile(tuple(sorted(classes.values())), dominating)
 
 
 def twin_profile(X: ColoredGraph) -> TwinProfile:
-    partition = closed_twin_partition_undirected(X)
-    universal = set(X.universal_vertices())
-    dominating = 0
-    for cls in partition.classes:
-        if cls[0] in universal:
-            dominating = len(cls)
-            break
-    return TwinProfile(tuple(partition.sizes()), dominating)
+    return _masked_profile(X.colors, X.masks, (1 << X.n) - 1)
 
 
 @lru_cache(maxsize=None)
 def _cyclic_power_graph_profile(d: int) -> TwinProfile:
-    return twin_profile(power_graph(cyclic_group(d)))
-
-
-def matches_cyclic_profile(gamma_v: ColoredGraph, d: int) -> bool:
-    """Does gamma_v closed-twin-partition-wise match Pow(Z_d)?
-
-    Compares the universal-class size and the multiset of twin-class
-    sizes; callers guarantee |V(gamma_v)| = d.
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if gamma_v.n != d:
-        raise ValueError(f"gamma_v has {gamma_v.n} vertices, expected {d}")
-    return twin_profile(gamma_v) == _cyclic_power_graph_profile(d)
+    """Twin profile of Pow(Z_d), uncolored, from the divisor lattice: Z_d
+    has phi(e) elements of order e for each e | d, and x, y are closed
+    twins iff the divisors comparable with o(x) and with o(y) agree."""
+    divs = divisors(d)
+    classes: Counter[tuple[int, ...]] = Counter()
+    for e in divs:
+        classes[tuple(f for f in divs if e % f == 0 or f % e == 0)] += euler_phi(e)
+    return TwinProfile(tuple(sorted(classes.values())), classes[tuple(divs)])
 
 
 def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
@@ -130,6 +101,9 @@ def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
     lowest index.  Otherwise the lowest-index universal vertex becomes
     IDENTITY and the remaining vertices are processed in decreasing
     degree order (ties by ascending index), one rule firing per phase.
+    Candidate v is decided on S = N[v]: u in S is universal in Gamma[S]
+    iff masks[u] & S == S, and v's twins there are the universal
+    vertices of its color.
     """
     n = Gamma.n
     if n == 0:
@@ -144,6 +118,7 @@ def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
         raise PipelineError("no universal vertex: input is not a power graph")
     identity = universal[0]
 
+    colors, masks = Gamma.colors, Gamma.masks
     labels = [UNLABELED] * n
     labels[identity] = IDENTITY
     order = sorted(
@@ -154,16 +129,20 @@ def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
     for v in order:
         if labels[v] != UNLABELED:
             continue
-        d = Gamma.degree(v) + 1
-        gamma_v, mapping = induced_subgraph(Gamma, Gamma.closed_neighborhood(v))
+        S = masks[v]
+        d = S.bit_count()
+        local_universal = [u for u in bits(S) if masks[u] & S == S]
         pp = is_prime_power(d) is not None
-        if pp and gamma_v.is_complete():
+        if pp and len(local_universal) == d:
             _mark_cc(Gamma, labels, v, identity)  # Rule 1a
         elif pp:
             labels[v] = NC  # Rule 1b
-        elif _has_nc_twin(gamma_v, mapping, labels, v, identity):
+        elif any(
+            colors[w] == colors[v] and w != identity and labels[w] == NC
+            for w in local_universal
+        ):
             labels[v] = NC  # Rule 2a
-        elif matches_cyclic_profile(gamma_v, d):
+        elif _masked_profile(colors, masks, S) == _cyclic_power_graph_profile(d):
             _mark_cc(Gamma, labels, v, identity)  # Rule 2b, matching case
         else:
             labels[v] = NC  # Rule 2b, non-matching case
@@ -171,20 +150,10 @@ def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
 
 
 def _mark_cc(Gamma, labels, v, identity):
-    labels[v] = CC
-    for w in Gamma.neighbors(v):
+    for w in bits(Gamma.masks[v]):
         if w != identity:
             labels[w] = NC
-
-
-def _has_nc_twin(gamma_v, mapping, labels, v, identity):
-    partition = closed_twin_partition_undirected(gamma_v)
-    local_v = mapping.index(v)
-    for local_w in partition.class_of[local_v]:
-        w = mapping[local_w]
-        if w != v and w != identity and labels[w] == NC:
-            return True
-    return False
+    labels[v] = CC
 
 
 def mark_ccg_enhanced(Gamma: ColoredGraph) -> CcgMarking:
@@ -197,9 +166,6 @@ def mark_ccg_enhanced(Gamma: ColoredGraph) -> CcgMarking:
     labels = [UNLABELED] * n
     order = sorted(range(n), key=lambda v: (Gamma.degree(v), v))
     for v in order:
-        if labels[v] != UNLABELED:
-            continue
-        labels[v] = CC
-        for w in Gamma.neighbors(v):
-            labels[w] = NC
+        if labels[v] == UNLABELED:
+            _mark_cc(Gamma, labels, v, None)
     return CcgMarking(tuple(labels), tuple(order))

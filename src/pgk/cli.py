@@ -34,6 +34,7 @@ from .powergraph_build import (
 )
 from .reconstruction import (
     cdpow_from_r1,
+    check_dpow,
     dpow_from_enhanced_graph,
     dpow_from_power_graph,
     epow_from_dpow,
@@ -137,7 +138,8 @@ def _reconstruct(args) -> int:
         ("r3", r3_from_r4),
         ("r2", r2_from_r3),
         ("r1", r1_from_r2),
-        ("cdpow", cdpow_from_r1),  # "dpow" is cdpow written without colors
+        # "dpow" is cdpow written without colors
+        ("cdpow", lambda r1: check_dpow(graph, cdpow_from_r1(r1), args.kind)),
     )
     out = graph
     for name, stage in stages:

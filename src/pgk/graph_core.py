@@ -2,9 +2,10 @@
 small brute-force color-preserving isomorphism oracle.
 
 Graphs are immutable: edges live in frozensets and all derived adjacency
-structures are cached.  Vertex colors are positive integers (in context,
-the order of the group element behind the vertex); an "uncolored" graph
-simply carries color 1 everywhere.
+structures are cached; an undirected graph's one adjacency is its closed
+neighborhoods as int bitmasks (nauty's set words).  Vertex colors are
+positive integers (in context, the order of the group element behind
+the vertex); an "uncolored" graph simply carries color 1 everywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "ColoredGraph",
     "ColoredDiGraph",
     "TwinPartition",
+    "bits",
     "closed_twin_partition_undirected",
     "closed_twin_partition_directed",
     "induced_subgraph",
@@ -55,21 +57,22 @@ class ColoredGraph:
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs = [set() for _ in range(self.n)]
+    def masks(self) -> tuple[int, ...]:
+        """Bit u of masks[v] is set iff u == v or {u, v} is an edge."""
+        masks = [1 << v for v in range(self.n)]
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        return frozenset(bits(self.masks[v] ^ (1 << v)))
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
+        return frozenset(bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count() - 1
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -165,6 +168,11 @@ class TwinPartition:
         return sorted(len(c) for c in self.classes)
 
 
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
 def _partition_by_key(n, key) -> TwinPartition:
     groups: dict[object, list[int]] = {}
     for v in range(n):
@@ -175,9 +183,7 @@ def _partition_by_key(n, key) -> TwinPartition:
 
 def closed_twin_partition_undirected(X: ColoredGraph) -> TwinPartition:
     """u, v share a class iff N[u] = N[v] and col(u) = col(v)."""
-    return _partition_by_key(
-        X.n, lambda v: (X.colors[v], X.closed_neighborhood(v))
-    )
+    return _partition_by_key(X.n, lambda v: (X.colors[v], X.masks[v]))
 
 
 def closed_twin_partition_directed(X: ColoredDiGraph) -> TwinPartition:

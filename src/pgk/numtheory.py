@@ -13,7 +13,6 @@ __all__ = [
     "is_prime",
     "is_prime_power",
     "is_power_of",
-    "phi_table",
 ]
 
 
@@ -100,15 +99,4 @@ def is_power_of(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def phi_table(limit: int) -> list[int]:
-    """Sieve of euler_phi values for 0..limit (index 0 is unused)."""
-    _check_positive(limit)
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p is prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
 

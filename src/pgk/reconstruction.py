@@ -3,10 +3,11 @@ power graph, and converting between the directed and enhanced forms.
 
 The pipeline is: mark a CCG-set, summarize into R4, rebuild R3 by gluing
 divisor Hasse diagrams, orient back to R2, close up to R1, and expand
-twin classes into the full colored directed power graph.  The output is
-an isomorphic copy, not a relabeling of the input vertices: closed twins
-are interchangeable and the reconstruction does not try to tell them
-apart.
+twin classes into the full colored directed power graph; `check_dpow`
+then rejects a result whose vertex count (or, from a power graph, shadow
+edge count) differs from the input's.  The output is an isomorphic copy,
+not a relabeling of the input vertices: closed twins are interchangeable
+and the reconstruction does not try to tell them apart.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "r2_from_r3",
     "r1_from_r2",
     "cdpow_from_r1",
+    "check_dpow",
     "dpow_from_power_graph",
     "dpow_from_enhanced_graph",
     "epow_from_dpow",
@@ -46,11 +48,11 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
     cc = sorted(marking.cc_vertices, key=lambda v: (Gamma.degree(v) + 1, v))
     if not cc:
         raise PipelineError("marking contains no CC vertex")
-    closed = [Gamma.closed_neighborhood(g) for g in cc]
+    closed = [Gamma.masks[g] for g in cc]
     inter: dict[tuple[int, int], int] = {}
     for i in range(len(cc)):
         for j in range(i + 1, len(cc)):
-            size = len(closed[i] & closed[j])
+            size = (closed[i] & closed[j]).bit_count()
             if size == 0:
                 raise PipelineError(
                     "not a power graph: CC vertices "
@@ -58,7 +60,7 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
                 )
             inter[(i, j)] = size
     return R4Graph(
-        ccg_colors=tuple(len(nb) for nb in closed),
+        ccg_colors=tuple(nb.bit_count() for nb in closed),
         intersection_colors=inter,
         ccg_vertices=tuple(cc),
     )
@@ -96,6 +98,8 @@ def _glue(X: R4Graph):
     edges: set[tuple[int, int]] = set()
     lattices: list[dict[int, int]] = []  # per g_s: divisor -> vertex id
     for j, cj in enumerate(X.ccg_colors):
+        if cj < 1:
+            raise PipelineError(f"CCG vertex {j} has color {cj}, below 1")
         lattice: dict[int, int] = {}
         for s in range(j):
             cs, c = X.ccg_colors[s], X.intersection_colors.get((s, j))
@@ -188,24 +192,45 @@ def cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
     return ColoredDiGraph(len(colors), tuple(colors), frozenset(arcs))
 
 
-def _dpow_pipeline(Gamma: ColoredGraph, marking: CcgMarking) -> ColoredDiGraph:
+def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGraph:
+    """Return D if it passes the necessary checks against the input
+    Gamma, else raise PipelineError: equal vertex counts and, for
+    kind "pow", as many undirected-shadow edges as Gamma has edges
+    (counted off the arcs, without building the shadow)."""
+    if D.n != Gamma.n:
+        raise PipelineError(
+            f"reconstruction has {D.n} vertices, the input has {Gamma.n}"
+        )
+    if kind == "pow":
+        shadow = sum(
+            1 for u, v in D.arcs if u < v or (u > v and (v, u) not in D.arcs)
+        )
+        if shadow != len(Gamma.edges):
+            raise PipelineError(
+                f"reconstruction's shadow has {shadow} edges, "
+                f"the input has {len(Gamma.edges)}"
+            )
+    return D
+
+
+def _dpow_pipeline(Gamma: ColoredGraph, marking: CcgMarking, kind: str):
     r4 = r4_from_marked_graph(Gamma, marking)
     r3 = r3_from_r4(r4)
     r2 = r2_from_r3(r3)
     r1 = r1_from_r2(r2)
-    return cdpow_from_r1(r1)
+    return check_dpow(Gamma, cdpow_from_r1(r1), kind)
 
 
 def dpow_from_power_graph(Gamma: ColoredGraph) -> ColoredDiGraph:
     """Recover a colored directed power graph from an undirected power
     graph (isomorphic copy; twin classes are interchangeable)."""
-    return _dpow_pipeline(Gamma, mark_ccg_power(Gamma))
+    return _dpow_pipeline(Gamma, mark_ccg_power(Gamma), "pow")
 
 
 def dpow_from_enhanced_graph(Gamma: ColoredGraph) -> ColoredDiGraph:
     """Recover a colored directed power graph from an enhanced power
     graph (isomorphic copy)."""
-    return _dpow_pipeline(Gamma, mark_ccg_enhanced(Gamma))
+    return _dpow_pipeline(Gamma, mark_ccg_enhanced(Gamma), "epow")
 
 
 def epow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:

@@ -1,17 +1,32 @@
-"""Shared test utilities: the group catalog, relabeling helpers, and the
+"""Shared test utilities: the group catalog, relabeling helpers, the
 twin-structure checks reused by both the unit tests and the acceptance
-suite."""
+suite, the proof machinery only tests use, and reference implementations
+that the library's faster code is compared against."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import lru_cache
 
-from pgk.ccg_detection import NeighborhoodPartition
+from hypothesis import strategies as st
+
+from pgk.ccg_detection import (
+    CC,
+    IDENTITY,
+    NC,
+    UNLABELED,
+    CcgMarking,
+    TwinProfile,
+)
+from pgk.errors import PipelineError
 from pgk.graph_core import (
     ColoredDiGraph,
     ColoredGraph,
+    TwinPartition,
     brute_force_color_iso,
     closed_twin_partition_undirected,
+    induced_subgraph,
     relabel,
 )
 from pgk.group_core import (
@@ -25,6 +40,41 @@ from pgk.group_core import (
 )
 from pgk.numtheory import euler_phi, is_prime_power
 from pgk.powergraph_build import power_graph
+
+
+def phi_table(limit: int) -> list[int]:
+    """Sieve of euler_phi values for 0..limit (index 0 is unused)."""
+    if limit < 1:
+        raise ValueError(f"argument must be a positive integer, got {limit}")
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p is prime
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+@dataclass(frozen=True)
+class NeighborhoodPartition:
+    """Split of N[v] by element order relative to o(v).
+
+    Proof machinery: built from a ground-truth group, to exercise the
+    twin-structure lemmas.
+    """
+
+    higher: frozenset[int]  # o(x) > o(v)
+    equal: frozenset[int]  # o(x) = o(v)
+    lower: frozenset[int]  # o(x) < o(v)
+
+    @classmethod
+    def from_orders(cls, graph: ColoredGraph, orders, v: int):
+        ov = orders[v]
+        closed = graph.closed_neighborhood(v)
+        return cls(
+            higher=frozenset(x for x in closed if orders[x] > ov),
+            equal=frozenset(x for x in closed if orders[x] == ov),
+            lower=frozenset(x for x in closed if orders[x] < ov),
+        )
 
 
 def build_catalog(s3: FiniteGroup) -> list[tuple[str, FiniteGroup]]:
@@ -88,8 +138,6 @@ def subgroup_generators(G: FiniteGroup, g: int) -> set[int]:
 
 def gamma_v(Gamma: ColoredGraph, v: int):
     """Induced subgraph on N[v], plus the mapping back to Gamma labels."""
-    from pgk.graph_core import induced_subgraph
-
     return induced_subgraph(Gamma, Gamma.closed_neighborhood(v))
 
 
@@ -188,3 +236,113 @@ def catalog_cdpow(G: FiniteGroup) -> ColoredDiGraph:
 
 def make_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+@st.composite
+def small_graphs(draw, max_n: int, max_color: int = 1) -> ColoredGraph:
+    """Arbitrary graphs on 1..max_n vertices with colors 1..max_color.
+    Half of them get a universal vertex, so that power-graph detection
+    gets past its first check."""
+    n = draw(st.integers(1, max_n))
+    hub = draw(st.none() | st.integers(0, n - 1))
+    edges = frozenset(
+        (u, v)
+        for v in range(n)
+        for u in range(v)
+        if hub in (u, v) or draw(st.booleans())
+    )
+    colors = tuple(draw(st.integers(1, max_color)) for _ in range(n))
+    return ColoredGraph(n, colors, edges)
+
+
+# --- reference CCG detection ----------------------------------------------
+#
+# The detector as it was before closed neighborhoods became bitmasks: per
+# candidate it builds the induced subgraph on N[v] and its twin partition
+# from frozenset adjacency, and compares against the twin profile of the
+# power graph built from Z_d's Cayley table.  The library's
+# mark_ccg_power must agree with it exactly.
+
+
+def reference_adjacency(X: ColoredGraph) -> tuple[frozenset[int], ...]:
+    nbrs = [set() for _ in range(X.n)]
+    for u, v in X.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(frozenset(s) for s in nbrs)
+
+
+def reference_twin_partition(X: ColoredGraph) -> TwinPartition:
+    adj = reference_adjacency(X)
+    groups: dict[object, list[int]] = {}
+    for v in range(X.n):
+        groups.setdefault((X.colors[v], adj[v] | {v}), []).append(v)
+    classes = sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
+    return TwinPartition(tuple(classes))
+
+
+def reference_twin_profile(X: ColoredGraph) -> TwinProfile:
+    adj = reference_adjacency(X)
+    universal = {v for v in range(X.n) if len(adj[v]) == X.n - 1}
+    partition = reference_twin_partition(X)
+    dominating = 0
+    for cls in partition.classes:
+        if cls[0] in universal:
+            dominating = len(cls)
+            break
+    return TwinProfile(tuple(partition.sizes()), dominating)
+
+
+@lru_cache(maxsize=None)
+def reference_cyclic_profile(d: int) -> TwinProfile:
+    return reference_twin_profile(power_graph(cyclic_group(d)))
+
+
+def reference_mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
+    n = Gamma.n
+    if n == 0:
+        raise PipelineError("empty graph")
+    if Gamma.is_complete():
+        labels = [NC] * n
+        labels[0] = CC
+        return CcgMarking(tuple(labels), ())
+
+    adj = reference_adjacency(Gamma)
+    universal = [v for v in range(n) if len(adj[v]) == n - 1]
+    if not universal:
+        raise PipelineError("no universal vertex: input is not a power graph")
+    identity = universal[0]
+
+    labels = [UNLABELED] * n
+    labels[identity] = IDENTITY
+    order = sorted(
+        (v for v in range(n) if v != identity),
+        key=lambda v: (-len(adj[v]), v),
+    )
+
+    def mark_cc(v):
+        labels[v] = CC
+        for w in adj[v]:
+            if w != identity:
+                labels[w] = NC
+
+    for v in order:
+        if labels[v] != UNLABELED:
+            continue
+        d = len(adj[v]) + 1
+        sub, mapping = induced_subgraph(Gamma, adj[v] | {v})
+        pp = is_prime_power(d) is not None
+        if pp and sub.is_complete():
+            mark_cc(v)  # Rule 1a
+        elif pp:
+            labels[v] = NC  # Rule 1b
+        elif any(
+            mapping[w] not in (v, identity) and labels[mapping[w]] == NC
+            for w in reference_twin_partition(sub).class_of[mapping.index(v)]
+        ):
+            labels[v] = NC  # Rule 2a
+        elif reference_twin_profile(sub) == reference_cyclic_profile(d):
+            mark_cc(v)  # Rule 2b, matching case
+        else:
+            labels[v] = NC  # Rule 2b, non-matching case
+    return CcgMarking(tuple(labels), tuple(order))

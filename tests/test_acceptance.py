@@ -26,7 +26,7 @@ from pgk.group_core import (
     quaternion_group,
 )
 from pgk.nilpotent_iso import dpow_iso_nilpotent, graph_iso_nilpotent
-from pgk.numtheory import is_prime_power, phi_table
+from pgk.numtheory import is_prime_power
 from pgk.powergraph_build import (
     directed_power_graph,
     enhanced_power_graph,
@@ -50,6 +50,7 @@ from helpers import (
     check_prime_power_gamma_v,
     check_twin_structure,
     make_rng,
+    phi_table,
     random_relabel,
 )
 

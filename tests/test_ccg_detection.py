@@ -1,16 +1,16 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from pgk.ccg_detection import (
     CC,
     IDENTITY,
     NC,
     UNLABELED,
-    NeighborhoodPartition,
+    _cyclic_power_graph_profile,
     mark_ccg_enhanced,
     mark_ccg_power,
-    matches_cyclic_profile,
     twin_profile,
 )
 from pgk.errors import PipelineError
@@ -20,10 +20,21 @@ from pgk.group_core import (
     cyclic_group,
     direct_product,
     maximal_cyclic_subgroups,
+    parse_group_spec,
 )
 from pgk.powergraph_build import enhanced_power_graph, power_graph
 
-from helpers import check_prime_power_gamma_v, check_twin_structure, gamma_v
+from helpers import (
+    NeighborhoodPartition,
+    check_prime_power_gamma_v,
+    check_twin_structure,
+    gamma_v,
+    make_rng,
+    random_relabel,
+    reference_mark_ccg_power,
+    reference_twin_profile,
+    small_graphs,
+)
 
 
 def complete_graph(n):
@@ -56,22 +67,59 @@ class TestTwinProfile:
         assert profile.dominating_class_size == 1
 
 
-class TestMatchesCyclicProfile:
+class TestCyclicPowerGraphProfile:
+    """Pow(Z_d)'s twin profile comes from the divisors of d, not from a
+    built graph."""
+
     def test_generator_neighborhood_of_z12(self):
         Gamma = power_graph(cyclic_group(12))
         sub, _ = gamma_v(Gamma, 1)  # generator: whole graph
-        assert matches_cyclic_profile(sub, 12)
+        assert twin_profile(sub) == _cyclic_power_graph_profile(12)
 
     def test_complete_graph_is_not_z6_profile(self):
-        assert not matches_cyclic_profile(complete_graph(6), 6)
+        assert twin_profile(complete_graph(6)) != _cyclic_power_graph_profile(6)
 
-    def test_rejects_small_d(self):
-        with pytest.raises(ValueError):
-            matches_cyclic_profile(complete_graph(1), 1)
+    def test_equals_profile_of_built_graph(self):
+        for d in range(2, 101):
+            built = power_graph(cyclic_group(d))
+            assert _cyclic_power_graph_profile(d) == twin_profile(built), d
+            assert twin_profile(built) == reference_twin_profile(built), d
 
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            matches_cyclic_profile(complete_graph(5), 6)
+
+def golden_inputs(catalog):
+    """(name, graph) pairs: the catalog's power graphs and three larger
+    ones, each in generated and in shuffled vertex order."""
+    groups = list(catalog) + [
+        (spec, parse_group_spec(spec)) for spec in ("Q8xZ15", "Q8xZ21", "Z2xZ2xZ45")
+    ]
+    rng = make_rng(3)
+    for name, G in groups:
+        Gamma = power_graph(G)
+        yield name, Gamma
+        yield f"{name} shuffled", random_relabel(Gamma, rng)
+
+
+def marking_or_error(mark, Gamma):
+    try:
+        return mark(Gamma)
+    except PipelineError as exc:
+        return str(exc)
+
+
+class TestGoldenMarkCcgPower:
+    """The bitmask detector against the reference that builds an induced
+    subgraph and a twin partition per candidate."""
+
+    def test_groups(self, catalog):
+        for name, Gamma in golden_inputs(catalog):
+            assert mark_ccg_power(Gamma) == reference_mark_ccg_power(Gamma), name
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_graphs(12, max_color=3))
+    def test_arbitrary_graphs(self, Gamma):
+        assert marking_or_error(mark_ccg_power, Gamma) == marking_or_error(
+            reference_mark_ccg_power, Gamma
+        )
 
 
 class TestMarkCcgPower:

@@ -213,6 +213,19 @@ class TestReconstruct:
         assert run("reconstruct", str(src), "--kind", "pow", "--out", str(out)) == 4
 
 
+    @pytest.mark.parametrize("command", ["reconstruct", "verify"])
+    def test_wrong_vertex_count_exit_4(self, tmp_path, command):
+        # the pipeline runs through, but rebuilds only 5 vertices
+        src = tmp_path / "g6.graph"
+        src.write_text(
+            "graph 6\nnocolors\n"
+            + "".join(f"0 {v}\n" for v in range(1, 6))
+            + "1 3\n1 5\n2 4\n3 4\n"
+        )
+        extra = ["--out", str(tmp_path / "o.graph")] if command == "reconstruct" else []
+        assert run(command, str(src), "--kind", "pow", *extra) == 4
+
+
 class TestIso:
     def _write(self, tmp_path, name, graph, with_colors=False):
         path = tmp_path / name

@@ -9,9 +9,10 @@ from pgk.numtheory import (
     is_prime,
     is_power_of,
     is_prime_power,
-    phi_table,
     prime_factorization,
 )
+
+from helpers import phi_table
 
 
 class TestPrimeFactorization:

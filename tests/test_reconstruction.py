@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.errors import PipelineError
-from pgk.graph_core import ColoredGraph, brute_force_color_iso, induced_subgraph
+from pgk.graph_core import (
+    ColoredDiGraph,
+    ColoredGraph,
+    brute_force_color_iso,
+    induced_subgraph,
+)
 from pgk.group_core import cyclic_group, direct_product, quaternion_group
 from pgk.numtheory import is_prime
 from pgk.powergraph_build import (
@@ -15,6 +20,7 @@ from pgk.powergraph_build import (
 )
 from pgk.reconstruction import (
     cdpow_from_r1,
+    check_dpow,
     dpow_from_enhanced_graph,
     dpow_from_power_graph,
     epow_from_dpow,
@@ -35,7 +41,7 @@ from pgk.reductions import (
     reduce_r4,
 )
 
-from helpers import color_iso, make_rng, random_relabel
+from helpers import color_iso, make_rng, random_relabel, small_graphs
 
 
 def klein_four():
@@ -129,6 +135,13 @@ class TestR3FromR4:
     def test_rejects_missing_pair(self):
         with pytest.raises(PipelineError, match="dividing both colors"):
             r3_from_r4(R4Graph((2, 2), {}))
+
+    @pytest.mark.parametrize(
+        "r4", [R4Graph((2, 0), {(0, 1): 1}), R4Graph((0,), {})]
+    )
+    def test_rejects_color_below_one(self, r4):
+        with pytest.raises(PipelineError, match="below 1"):
+            r3_from_r4(r4)
 
     @settings(max_examples=300, deadline=None)
     @given(r4_graphs())
@@ -308,6 +321,35 @@ class TestFullPipelines:
         G = direct_product(cyclic_group(2), cyclic_group(6))
         D = dpow_from_enhanced_graph(enhanced_power_graph(G))
         assert color_iso(D, directed_power_graph(G))
+
+
+class TestCheckDpow:
+    K2 = ColoredGraph(2, (1, 1), frozenset({(0, 1)}))
+
+    def test_accepts_matching_counts(self):
+        D = ColoredDiGraph(2, (2, 2), frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
+        assert check_dpow(self.K2, D, "pow") is D
+
+    def test_rejects_vertex_count(self):
+        D = ColoredDiGraph(1, (1,), frozenset({(0, 0)}))
+        for kind in ("pow", "epow"):
+            with pytest.raises(PipelineError, match="1 vertices"):
+                check_dpow(self.K2, D, kind)
+
+    def test_rejects_shadow_edge_count_for_pow_only(self):
+        D = ColoredDiGraph(2, (1, 1), frozenset({(0, 0), (1, 1)}))
+        with pytest.raises(PipelineError, match="0 edges"):
+            check_dpow(self.K2, D, "pow")
+        assert check_dpow(self.K2, D, "epow") is D
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(8))
+    def test_arbitrary_graph_gives_checked_answer_or_pipeline_error(self, Gamma):
+        try:
+            D = dpow_from_power_graph(Gamma)
+        except PipelineError:
+            return
+        assert color_iso(pow_from_dpow(D), Gamma)
 
 
 class TestGraphConversions:
