@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import CayleyTableError, GroupSpecError
 from .numtheory import is_power_of, is_prime, prime_factorization
@@ -32,7 +33,7 @@ __all__ = [
     "is_nilpotent",
 ]
 
-MAX_GROUP_ORDER = 10_000
+MAX_GROUP_ORDER = 2_000
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def quaternion_group() -> FiniteGroup:
 def heisenberg_group(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over F_p; order p^3, exponent p
     for odd p."""
-    if not is_prime(p):
+    if p < 2 or not is_prime(p):
         raise GroupSpecError(f"Heisenberg parameter must be prime, got {p}")
     n = p * p * p
 
@@ -160,7 +161,7 @@ def heisenberg_group(p: int) -> FiniteGroup:
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
     """Z_p^k."""
-    if not is_prime(p):
+    if p < 2 or not is_prime(p):
         raise GroupSpecError(f"ElemAb prime parameter must be prime, got {p}")
     if k < 1:
         raise GroupSpecError("ElemAb exponent must be at least 1")
@@ -189,21 +190,45 @@ def direct_product(
     return FiniteGroup(table)
 
 
-def _relabel_table(table, perm):
+def _greedy_generators(table, columns, identity) -> list[int]:
+    """Generators of a Latin square with an identity, each the smallest
+    element outside the product-closure of those before it.
+
+    A closure is a subquasigroup, and a proper subquasigroup T has at
+    most n/2 elements (aT and T are disjoint for a outside T), so there
+    are at most floor(log2 n) generators.  Each closure member is
+    multiplied on both sides with the members before it: O(n^2) in all.
+    """
     n = len(table)
-    new = [[0] * n for _ in range(n)]
-    inv = [0] * n
-    for old, newi in enumerate(perm):
-        inv[newi] = old
-    for i in range(n):
-        for j in range(n):
-            new[i][j] = perm[table[inv[i]][inv[j]]]
-    return tuple(tuple(row) for row in new)
+    members, inside = [identity], {identity}
+    done = 1  # members[:done] have been multiplied with each other
+    candidate = 0
+    generators = []
+    while len(members) < n:
+        while candidate in inside:
+            candidate += 1
+        generators.append(candidate)
+        members.append(candidate)
+        inside.add(candidate)
+        while done < len(members):
+            u = members[done]
+            done += 1
+            times_earlier = itemgetter(*members[:done])
+            fresh = set(times_earlier(table[u]))
+            fresh.update(times_earlier(columns[u]))
+            fresh -= inside
+            members.extend(fresh)
+            inside |= fresh
+    return generators
 
 
 def group_from_cayley_table(table) -> FiniteGroup:
     """Validate an arbitrary table and return a FiniteGroup with the
     identity relabeled to index 0.
+
+    Associativity is checked exactly by Light's test: the elements a with
+    (xa)y = x(ay) for all x, y are closed under the product, so checking
+    a generating set suffices, O(n^2 log n) in all.
 
     Raises CayleyTableError naming the failed axiom and a witness.
     """
@@ -214,61 +239,65 @@ def group_from_cayley_table(table) -> FiniteGroup:
     for i, row in enumerate(table):
         if len(row) != n:
             raise CayleyTableError(f"row {i} has length {len(row)}, expected {n}")
-        for j, x in enumerate(row):
-            if not (0 <= x < n):
-                raise CayleyTableError(
-                    f"closure fails: entry table[{i}][{j}] = {x} is outside [0, {n})"
-                )
+        if min(row) < 0 or max(row) >= n:
+            j, x = next((j, x) for j, x in enumerate(row) if not 0 <= x < n)
+            raise CayleyTableError(
+                f"closure fails: entry table[{i}][{j}] = {x} is outside [0, {n})"
+            )
+    columns = tuple(zip(*table))
     for i in range(n):
         if len(set(table[i])) != n:
             raise CayleyTableError(f"row {i} is not a permutation")
-        if len({table[j][i] for j in range(n)}) != n:
+        if len(set(columns[i])) != n:
             raise CayleyTableError(f"column {i} is not a permutation")
-    identity = None
-    for e in range(n):
-        if all(table[e][j] == j for j in range(n)) and all(
-            table[i][e] == i for i in range(n)
-        ):
-            identity = e
-            break
+    natural = tuple(range(n))
+    identity = next(
+        (e for e in range(n) if table[e] == natural and columns[e] == natural), None
+    )
     if identity is None:
         raise CayleyTableError("identity fails: no two-sided identity element")
-    for i in range(n):
-        if not any(
-            table[i][j] == identity and table[j][i] == identity for j in range(n)
-        ):
+    for i, row in enumerate(table):
+        if table[row.index(identity)][i] != identity:
             raise CayleyTableError(f"inverse fails: element {i} has no two-sided inverse")
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise CayleyTableError(
-                        f"associativity fails at triple ({a}, {b}, {c})"
-                    )
+    for a in _greedy_generators(table, columns, identity):
+        # times_a(row of x) is y -> x(ay), table[xa] is y -> (xa)y
+        times_a = itemgetter(*table[a])
+        for x, row_x in enumerate(table):
+            if times_a(row_x) != table[row_x[a]]:
+                xa, row_a = table[row_x[a]], table[a]
+                c = next(c for c in range(n) if xa[c] != row_x[row_a[c]])
+                raise CayleyTableError(f"associativity fails at triple ({x}, {a}, {c})")
     if identity != 0:
-        perm = list(range(n))
-        perm[identity], perm[0] = 0, identity
-        table = _relabel_table(table, perm)
+        swap = list(range(n))
+        swap[identity], swap[0] = 0, identity
+        columns_swapped = itemgetter(*swap)
+        table = tuple(columns_swapped(itemgetter(*table[old])(swap)) for old in swap)
     return FiniteGroup(table)
 
 
 def load_cayley_file(path) -> FiniteGroup:
-    """Cayley-table file: line 1 is n, then n lines of n entries."""
+    """Cayley-table file: line 1 is n, then n lines of n entries.  An
+    order above MAX_GROUP_ORDER is refused before any row is read."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise CayleyTableError(f"{path}: empty file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise CayleyTableError(f"{path}: bad order line {lines[0]!r}") from None
-    if len(lines) != n + 1:
-        raise CayleyTableError(f"{path}: expected {n} table rows, got {len(lines) - 1}")
-    table = []
-    for ln in lines[1:]:
+        lines = (ln for ln in map(str.strip, fh) if ln)
+        first = next(lines, None)
+        if first is None:
+            raise CayleyTableError(f"{path}: empty file")
         try:
-            row = [int(t) for t in ln.split()]
+            n = int(first)
+        except ValueError:
+            raise CayleyTableError(f"{path}: bad order line {first!r}") from None
+        if n > MAX_GROUP_ORDER:
+            raise CayleyTableError(
+                f"{path}: order {n} exceeds maximum {MAX_GROUP_ORDER}"
+            )
+        rows = list(lines)
+    if len(rows) != n:
+        raise CayleyTableError(f"{path}: expected {n} table rows, got {len(rows)}")
+    table = []
+    for ln in rows:
+        try:
+            row = list(map(int, ln.split()))
         except ValueError:
             raise CayleyTableError(f"{path}: bad table row {ln!r}") from None
         if len(row) != n:
@@ -287,25 +316,32 @@ def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup
 
     Grammar: SPEC := TERM ("x" TERM)* with TERM one of Zk, Dk (order 2k),
     Q8, Heisp, ElemAb(p,k), file:PATH.  A file: term swallows the rest of
-    the string (paths may contain "x"), so it must come last.
+    the string (paths may contain "x"), so it must come last.  The order
+    of every other term is known from its parameters, so a spec over
+    max_order is refused before any table is built.
     """
     text = text.strip()
     if not text:
         raise GroupSpecError("empty group spec", 0)
-    factors = []
+    builders = []
+    order = 1
     pos = 0
     while True:
         if text.startswith("file:", pos):
             path = text[pos + 5 :]
             if not path:
                 raise GroupSpecError("file: term with empty path", pos)
-            factors.append(load_cayley_file(path))
+            builders.append(lambda: load_cayley_file(path))
             pos = len(text)
         else:
             m = _TERM_RE.match(text, pos)
             if m is None:
                 raise GroupSpecError(f"cannot parse term in {text!r}", pos)
-            factors.append(_build_term(m, pos))
+            term_order, build = _term(m, pos)
+            order *= term_order
+            if order > max_order:
+                raise GroupSpecError(f"group order exceeds maximum {max_order}", pos)
+            builders.append(build)
             pos = m.end()
         if pos == len(text):
             break
@@ -314,30 +350,35 @@ def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup
         pos += 1
         if pos == len(text):
             raise GroupSpecError("trailing 'x' in group spec", pos)
-    G = factors[0]
-    for H in factors[1:]:
-        G = direct_product(G, H, max_order=max_order)
+    G = builders[0]()
+    for build in builders[1:]:
+        G = direct_product(G, build(), max_order=max_order)
     if G.order > max_order:
         raise GroupSpecError(f"group order {G.order} exceeds maximum {max_order}")
     return G
 
 
-def _build_term(m: re.Match, pos: int) -> FiniteGroup:
+def _term(m: re.Match, pos: int):
+    """The order of a parsed term, and a function that builds it."""
     if m.group("zn") is not None:
         n = int(m.group("zn"))
         if n < 1:
             raise GroupSpecError("Z parameter must be at least 1", pos)
-        return cyclic_group(n)
+        return n, lambda: cyclic_group(n)
     if m.group("dk") is not None:
         k = int(m.group("dk"))
         if k < 1:
             raise GroupSpecError("D parameter must be at least 1", pos)
-        return dihedral_group(k)
+        return 2 * k, lambda: dihedral_group(k)
     if m.group("hp") is not None:
-        return heisenberg_group(int(m.group("hp")))
+        p = int(m.group("hp"))
+        return p**3, lambda: heisenberg_group(p)
     if m.group("ep") is not None:
-        return elementary_abelian_group(int(m.group("ep")), int(m.group("ek")))
-    return quaternion_group()
+        p, k = int(m.group("ep")), int(m.group("ek"))
+        # for p >= 2 and k > 64, p**k and p**64 both exceed any cap a
+        # table fits under, and p**k in full could take minutes
+        return p ** min(k, 64), lambda: elementary_abelian_group(p, k)
+    return 8, quaternion_group
 
 
 def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:

@@ -346,3 +346,56 @@ def reference_mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
         else:
             labels[v] = NC  # Rule 2b, non-matching case
     return CcgMarking(tuple(labels), tuple(order))
+
+
+# --- reference Cayley-table checks ----------------------------------------
+#
+# The associativity check as it was before Light's test: every triple.
+# group_from_cayley_table must accept a Latin square exactly when this
+# says it is associative.
+
+
+def reference_is_associative(table) -> bool:
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return False
+    return True
+
+
+def normalized_loops(n: int):
+    """Every Latin square of order n whose first row and first column are
+    0..n-1 in order, i.e. every loop on 0..n-1 with identity 0."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    in_row = [{i} for i in range(n)]
+    in_column = [{j} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        i, j = cells[k]
+        for x in range(n):
+            if x not in in_row[i] and x not in in_column[j]:
+                rows[i][j] = x
+                in_row[i].add(x)
+                in_column[j].add(x)
+                yield from fill(k + 1)
+                in_row[i].discard(x)
+                in_column[j].discard(x)
+
+    return fill(0)
+
+
+def relabel_table(table, perm):
+    """The table of the same operation with element x renamed perm[x]."""
+    n = len(table)
+    new = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            new[perm[i]][perm[j]] = perm[table[i][j]]
+    return tuple(map(tuple, new))

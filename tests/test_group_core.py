@@ -1,10 +1,16 @@
+import random
+import re
 from collections import Counter
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pgk import group_core
 from pgk.errors import CayleyTableError, GroupSpecError
 from pgk.group_core import (
+    MAX_GROUP_ORDER,
     ccg_ground_truth,
     cyclic_group,
     dihedral_group,
@@ -20,7 +26,12 @@ from pgk.group_core import (
 )
 from pgk.numtheory import divisors, euler_phi
 
-from helpers import subgroup_generators
+from helpers import (
+    normalized_loops,
+    reference_is_associative,
+    relabel_table,
+    subgroup_generators,
+)
 
 
 class TestConstructors:
@@ -138,6 +149,110 @@ class TestCayleyTableValidation:
             group_from_cayley_table([])
 
 
+def _two_sided_identity(table):
+    n = len(table)
+    return next(
+        (
+            e
+            for e in range(n)
+            if all(table[e][j] == j and table[j][e] == j for j in range(n))
+        ),
+        None,
+    )
+
+
+ASSOCIATIVITY_FAILS = re.compile(
+    r"associativity fails at triple \((\d+), (\d+), (\d+)\)"
+)
+INVERSE_FAILS = re.compile(r"inverse fails: element (\d+) has no two-sided inverse")
+
+
+def _identity_to_zero(table, e):
+    n = len(table)
+    swap = list(range(n))
+    swap[e], swap[0] = 0, e
+    return tuple(
+        tuple(swap[table[swap[i]][swap[j]]] for j in range(n)) for i in range(n)
+    )
+
+
+def _check_against_reference(table):
+    """Validate a Latin square: accepted exactly when the triple loop
+    finds it associative, with the identity moved to 0; when rejected,
+    the witness in the message must really fail."""
+    try:
+        G = group_from_cayley_table(table)
+    except CayleyTableError as exc:
+        assert not reference_is_associative(table)
+        message = str(exc)
+        e = _two_sided_identity(table)
+        if m := ASSOCIATIVITY_FAILS.fullmatch(message):
+            x, a, c = map(int, m.groups())
+            assert table[table[x][a]][c] != table[x][table[a][c]], message
+            # the inverse axiom is checked first
+            assert all(table[table[i].index(e)][i] == e for i in range(len(table)))
+        elif m := INVERSE_FAILS.fullmatch(message):
+            i = int(m.group(1))
+            assert not any(
+                table[i][j] == e and table[j][i] == e for j in range(len(table))
+            ), message
+        else:
+            assert message.startswith("identity fails") and e is None, message
+        return False
+    assert reference_is_associative(table)
+    assert G.table == _identity_to_zero(table, _two_sided_identity(table))
+    return True
+
+
+class TestLightAssociativity:
+    def test_every_loop_up_to_order_six(self):
+        # 9,471 loops; each also with its identity moved off index 0
+        rng = random.Random(4)
+        groups = 0
+        for n in range(1, 7):
+            for table in normalized_loops(n):
+                perm = list(range(n))
+                while n > 1 and perm[0] == 0:
+                    rng.shuffle(perm)
+                accepted = _check_against_reference(table)
+                assert _check_against_reference(relabel_table(table, perm)) == accepted
+                groups += accepted
+        # a group G of order n has (n-1)!/|Aut G| normalized tables: Z4 3,
+        # Z2^2 1, Z5 6, Z6 60, S3 20
+        assert groups == 1 + 1 + 1 + 4 + 6 + 80
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(*[st.permutations(range(n))] * 3)
+        )
+    )
+    def test_isotopes_of_cyclic_groups(self, perms):
+        # x*y = gamma(alpha(x) + beta(y)): a Latin square, and a group
+        # exactly when it has an identity
+        alpha, beta, gamma = perms
+        n = len(alpha)
+        table = [[gamma[(alpha[x] + beta[y]) % n] for y in range(n)] for x in range(n)]
+        accepted = _check_against_reference(table)
+        assert accepted == (_two_sided_identity(table) is not None)
+
+    def test_generating_set_is_logarithmic(self, catalog):
+        # the Light test runs once per generator; n.bit_length() - 1 is
+        # floor(log2 n)
+        rng = random.Random(7)
+        tables = [(name, G.table) for name, G in catalog]
+        for spec in ("D50", "D75", "D100", "D125", "Q8xZ15"):
+            G = parse_group_spec(spec)
+            perm = list(range(G.order))
+            rng.shuffle(perm)
+            tables.append((spec, relabel_table(G.table, perm)))
+        for name, table in tables:
+            columns = tuple(zip(*table))
+            identity = _two_sided_identity(table)
+            gens = group_core._greedy_generators(table, columns, identity)
+            assert len(gens) <= len(table).bit_length() - 1, (name, gens)
+
+
 class TestCayleyFile:
     def test_loads_s3(self, s3):
         assert s3.order == 6
@@ -159,6 +274,13 @@ class TestCayleyFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_cayley_file(tmp_path / "nope.txt")
+
+    def test_order_over_cap_refused_before_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(group_core, "group_from_cayley_table", None)
+        path = tmp_path / "big.txt"
+        path.write_text(f"{MAX_GROUP_ORDER + 1}\nnot a row\n")
+        with pytest.raises(CayleyTableError, match="exceeds maximum"):
+            load_cayley_file(path)
 
 
 class TestGroupSpecParsing:
@@ -201,6 +323,27 @@ class TestGroupSpecParsing:
     def test_order_cap(self):
         with pytest.raises(GroupSpecError):
             parse_group_spec("Z200xZ200")
+
+    def test_order_2001_rejected(self):
+        with pytest.raises(GroupSpecError, match="exceeds maximum 2000"):
+            parse_group_spec("Z3xZ667")
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["Z1500", "D750", "Heis11", "ElemAb(2,7)", "ElemAb(3,100000000)", "Z50xZ3",
+         "Q8xZ2xZ7"],
+    )
+    def test_order_cap_before_any_table(self, spec, monkeypatch):
+        for name in ("cyclic_group", "dihedral_group", "heisenberg_group",
+                     "elementary_abelian_group", "quaternion_group"):
+            monkeypatch.setattr(group_core, name, None)
+        with pytest.raises(GroupSpecError, match="exceeds maximum 100"):
+            parse_group_spec(spec, max_order=100)
+
+    @pytest.mark.parametrize("spec", ["Heis0", "ElemAb(0,2)", "Heis1"])
+    def test_prime_parameter_below_two(self, spec):
+        with pytest.raises(GroupSpecError, match="must be prime"):
+            parse_group_spec(spec)
 
 
 class TestMaximalCyclicSubgroups:
