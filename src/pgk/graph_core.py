@@ -1,11 +1,12 @@
 """Colored graph and digraph values, twin partitions, products, and a
 small brute-force color-preserving isomorphism oracle.
 
-Graphs are immutable: edges live in frozensets and all derived adjacency
-structures are cached; an undirected graph's one adjacency is its closed
-neighborhoods as int bitmasks (nauty's set words).  Vertex colors are
-positive integers (in context, the order of the group element behind
-the vertex); an "uncolored" graph simply carries color 1 everywhere.
+Graphs are immutable: edges live in frozensets, and each graph kind has
+one cached adjacency, as int bitmasks (nauty's set words): closed
+neighborhoods for an undirected graph, out- and in-neighborhoods for a
+digraph.  Vertex colors are positive integers (in context, the order of
+the group element behind the vertex); an "uncolored" graph simply
+carries color 1 everywhere.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class ColoredGraph:
     def universal_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.degree(v) == self.n - 1]
 
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
 
 @dataclass(frozen=True)
 class ColoredDiGraph:
@@ -105,42 +103,32 @@ class ColoredDiGraph:
                 raise ValueError(f"bad arc ({u}, {v}) for n={self.n}")
 
     @cached_property
-    def out_adj(self) -> tuple[frozenset[int], ...]:
-        nbrs = [set() for _ in range(self.n)]
+    def out_masks(self) -> tuple[int, ...]:
+        """Bit w of out_masks[v] is set iff (v, w) is an arc."""
+        masks = [0] * self.n
         for u, v in self.arcs:
-            nbrs[u].add(v)
-        return tuple(frozenset(s) for s in nbrs)
+            masks[u] |= 1 << v
+        return tuple(masks)
 
     @cached_property
-    def in_adj(self) -> tuple[frozenset[int], ...]:
-        nbrs = [set() for _ in range(self.n)]
+    def in_masks(self) -> tuple[int, ...]:
+        """Bit u of in_masks[v] is set iff (u, v) is an arc."""
+        masks = [0] * self.n
         for u, v in self.arcs:
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return self.out_adj[v]
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return self.in_adj[v]
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     def closed_out_neighborhood(self, v: int) -> frozenset[int]:
-        return self.out_adj[v] | {v}
-
-    def closed_in_neighborhood(self, v: int) -> frozenset[int]:
-        return self.in_adj[v] | {v}
+        return frozenset(bits(self.out_masks[v] | 1 << v))
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
+        return self.out_masks[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
+        return self.in_masks[v].bit_count()
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
-
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
 
     def undirected_shadow(self) -> ColoredGraph:
         """Forget directions and drop self-loops."""
@@ -160,9 +148,6 @@ class TwinPartition:
     @cached_property
     def class_of(self) -> dict[int, tuple[int, ...]]:
         return {v: cls for cls in self.classes for v in cls}
-
-    def same_class(self, u: int, v: int) -> bool:
-        return self.class_of[u] is self.class_of[v]
 
     def sizes(self) -> list[int]:
         return sorted(len(c) for c in self.classes)
@@ -189,13 +174,9 @@ def closed_twin_partition_undirected(X: ColoredGraph) -> TwinPartition:
 def closed_twin_partition_directed(X: ColoredDiGraph) -> TwinPartition:
     """u, v share a class iff their closed in- and out-neighborhoods and
     colors all agree."""
+    out, inn = X.out_masks, X.in_masks
     return _partition_by_key(
-        X.n,
-        lambda v: (
-            X.colors[v],
-            X.closed_out_neighborhood(v),
-            X.closed_in_neighborhood(v),
-        ),
+        X.n, lambda v: (X.colors[v], out[v] | 1 << v, inn[v] | 1 << v)
     )
 
 
@@ -210,16 +191,17 @@ def induced_subgraph(X, S):
         if not (0 <= v < X.n):
             raise ValueError(f"vertex {v} out of range")
     index = {old: new for new, old in enumerate(mapping)}
-    colors = tuple(X.colors[v] for v in mapping)
-    if isinstance(X, ColoredDiGraph):
-        arcs = frozenset(
-            (index[u], index[v]) for u, v in X.arcs if u in index and v in index
-        )
-        return ColoredDiGraph(len(mapping), colors, arcs), mapping
-    edges = frozenset(
-        (index[u], index[v]) for u, v in X.edges if u in index and v in index
+    keep = sum(1 << v for v in mapping)
+    directed = isinstance(X, ColoredDiGraph)
+    masks = X.out_masks if directed else X.masks
+    pairs = frozenset(
+        (i, index[w])
+        for i, v in enumerate(mapping)
+        for w in bits(masks[v] & keep)
+        if directed or i < index[w]
     )
-    return ColoredGraph(len(mapping), colors, edges), mapping
+    colors = tuple(X.colors[v] for v in mapping)
+    return type(X)(len(mapping), colors, pairs), mapping
 
 
 def strong_product(X: ColoredDiGraph, Y: ColoredDiGraph) -> ColoredDiGraph:
@@ -383,14 +365,10 @@ def parse_graph(text: str):
         raise GraphFormatError("missing colors line")
     ctok = lines[1].split()
     if ctok[0] == "colors":
-        if len(ctok) != n + 1:
-            raise GraphFormatError("colors line must list one color per vertex")
         try:
             colors = tuple(int(c) for c in ctok[1:])
         except ValueError:
             raise GraphFormatError("colors must be integers") from None
-        if any(c < 1 for c in colors):
-            raise GraphFormatError("colors must be positive")
     elif ctok[0] == "nocolors" and len(ctok) == 1:
         colors = (1,) * n
     else:
@@ -404,17 +382,14 @@ def parse_graph(text: str):
             u, v = int(tok[0]), int(tok[1])
         except ValueError:
             raise GraphFormatError(f"bad edge line: {ln!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u}, {v}) out of range")
-        if directed:
-            pairs.add((u, v))
-        else:
-            if u == v:
-                raise GraphFormatError("self-loops not allowed in undirected graphs")
-            pairs.add((min(u, v), max(u, v)))
-    if directed:
-        return ColoredDiGraph(n, colors, frozenset(pairs))
-    return ColoredGraph(n, colors, frozenset(pairs))
+        pairs.add((u, v) if directed or u < v else (v, u))
+    # the constructor checks colors and every edge, self-loops included
+    try:
+        return (ColoredDiGraph if directed else ColoredGraph)(
+            n, colors, frozenset(pairs)
+        )
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def load_graph(path):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .errors import CayleyTableError, GroupSpecError
@@ -275,23 +275,27 @@ def group_from_cayley_table(table) -> FiniteGroup:
     return FiniteGroup(table)
 
 
+def _cayley_order(fh, path) -> int:
+    """Read a Cayley-table file's order line (its first non-empty line),
+    refusing an order above MAX_GROUP_ORDER."""
+    first = next((ln for ln in map(str.strip, fh) if ln), None)
+    if first is None:
+        raise CayleyTableError(f"{path}: empty file")
+    try:
+        n = int(first)
+    except ValueError:
+        raise CayleyTableError(f"{path}: bad order line {first!r}") from None
+    if n > MAX_GROUP_ORDER:
+        raise CayleyTableError(f"{path}: order {n} exceeds maximum {MAX_GROUP_ORDER}")
+    return n
+
+
 def load_cayley_file(path) -> FiniteGroup:
     """Cayley-table file: line 1 is n, then n lines of n entries.  An
     order above MAX_GROUP_ORDER is refused before any row is read."""
     with open(path, encoding="utf-8") as fh:
-        lines = (ln for ln in map(str.strip, fh) if ln)
-        first = next(lines, None)
-        if first is None:
-            raise CayleyTableError(f"{path}: empty file")
-        try:
-            n = int(first)
-        except ValueError:
-            raise CayleyTableError(f"{path}: bad order line {first!r}") from None
-        if n > MAX_GROUP_ORDER:
-            raise CayleyTableError(
-                f"{path}: order {n} exceeds maximum {MAX_GROUP_ORDER}"
-            )
-        rows = list(lines)
+        n = _cayley_order(fh, path)
+        rows = [ln for ln in map(str.strip, fh) if ln]
     if len(rows) != n:
         raise CayleyTableError(f"{path}: expected {n} table rows, got {len(rows)}")
     table = []
@@ -316,9 +320,9 @@ def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup
 
     Grammar: SPEC := TERM ("x" TERM)* with TERM one of Zk, Dk (order 2k),
     Q8, Heisp, ElemAb(p,k), file:PATH.  A file: term swallows the rest of
-    the string (paths may contain "x"), so it must come last.  The order
-    of every other term is known from its parameters, so a spec over
-    max_order is refused before any table is built.
+    the string (paths may contain "x"), so it must come last.  Each
+    term's order is known from its parameters or its file's order line,
+    so a spec over max_order is refused before any table is built.
     """
     text = text.strip()
     if not text:
@@ -331,18 +335,23 @@ def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup
             path = text[pos + 5 :]
             if not path:
                 raise GroupSpecError("file: term with empty path", pos)
-            builders.append(lambda: load_cayley_file(path))
-            pos = len(text)
+            with open(path, encoding="utf-8") as fh:
+                term_order = _cayley_order(fh, path)
+            build, end = partial(load_cayley_file, path), len(text)
         else:
             m = _TERM_RE.match(text, pos)
             if m is None:
                 raise GroupSpecError(f"cannot parse term in {text!r}", pos)
-            term_order, build = _term(m, pos)
-            order *= term_order
-            if order > max_order:
-                raise GroupSpecError(f"group order exceeds maximum {max_order}", pos)
-            builders.append(build)
-            pos = m.end()
+            try:
+                term_order, build = _term(m, pos)
+            except ValueError:  # int() refuses strings past Python's digit limit
+                raise GroupSpecError("term parameter has too many digits", pos) from None
+            end = m.end()
+        order *= term_order
+        if order > max_order:
+            raise GroupSpecError(f"group order exceeds maximum {max_order}", pos)
+        builders.append(build)
+        pos = end
         if pos == len(text):
             break
         if text[pos] != "x":
@@ -353,8 +362,6 @@ def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup
     G = builders[0]()
     for build in builders[1:]:
         G = direct_product(G, build(), max_order=max_order)
-    if G.order > max_order:
-        raise GroupSpecError(f"group order {G.order} exceeds maximum {max_order}")
     return G
 
 

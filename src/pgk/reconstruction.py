@@ -4,19 +4,22 @@ power graph, and converting between the directed and enhanced forms.
 The pipeline is: mark a CCG-set, summarize into R4, rebuild R3 by gluing
 divisor Hasse diagrams, orient back to R2, close up to R1, and expand
 twin classes into the full colored directed power graph; `check_dpow`
-then rejects a result whose vertex count (or, from a power graph, shadow
-edge count) differs from the input's.  The output is an isomorphic copy,
-not a relabeling of the input vertices: closed twins are interchangeable
-and the reconstruction does not try to tell them apart.
+then rejects a result whose vertex count differs from the input's, or,
+from a power graph, whose shadow edge count does, or, from an enhanced
+power graph, whose enhanced power graph's degree multiset does.  The
+output is an isomorphic copy, not a relabeling of the input vertices:
+closed twins are interchangeable and the reconstruction does not try to
+tell them apart.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
-from .graph_core import ColoredDiGraph, ColoredGraph
+from .graph_core import ColoredDiGraph, ColoredGraph, bits
 from .numtheory import euler_phi, is_prime
 from .reductions import R4Graph, hasse_divisor_graph, reachability
 
@@ -194,9 +197,10 @@ def cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
 
 def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGraph:
     """Return D if it passes the necessary checks against the input
-    Gamma, else raise PipelineError: equal vertex counts and, for
-    kind "pow", as many undirected-shadow edges as Gamma has edges
-    (counted off the arcs, without building the shadow)."""
+    Gamma, else raise PipelineError: equal vertex counts and, for kind
+    "pow", as many undirected-shadow edges as Gamma has edges (counted
+    off the arcs, without building the shadow); for kind "epow", the
+    same degree multiset in D's enhanced power graph as in Gamma."""
     if D.n != Gamma.n:
         raise PipelineError(
             f"reconstruction has {D.n} vertices, the input has {Gamma.n}"
@@ -209,6 +213,15 @@ def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGr
             raise PipelineError(
                 f"reconstruction's shadow has {shadow} edges, "
                 f"the input has {len(Gamma.edges)}"
+            )
+    elif kind == "epow":
+        got = Counter(m.bit_count() - 1 for m in _epow_masks(D))
+        want = Counter(m.bit_count() - 1 for m in Gamma.masks)
+        if got != want:
+            d = min(k for k in got | want if got[k] != want[k])
+            raise PipelineError(
+                f"reconstruction's enhanced power graph has {got[d]} vertices "
+                f"of degree {d}, the input has {want[d]}"
             )
     return D
 
@@ -233,16 +246,24 @@ def dpow_from_enhanced_graph(Gamma: ColoredGraph) -> ColoredDiGraph:
     return _dpow_pipeline(Gamma, mark_ccg_enhanced(Gamma), "epow")
 
 
+def _epow_masks(D: ColoredDiGraph) -> list[int]:
+    """Closed neighborhoods of D's enhanced power graph as bitmasks: N[u]
+    is the union of the closed out-neighborhoods that contain u, that is
+    of N+[u] and of N+[w] for each arc (w, u)."""
+    closed = [m | 1 << w for w, m in enumerate(D.out_masks)]
+    masks = closed.copy()
+    for w, u in D.arcs:
+        masks[u] |= closed[w]
+    return masks
+
+
 def epow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:
     """Edge {u, v} iff some vertex's closed out-neighborhood contains
     both; the result is the enhanced power graph, uncolored."""
-    edges = set()
-    for w in range(D.n):
-        members = sorted(D.closed_out_neighborhood(w))
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                edges.add((u, v))
-    return ColoredGraph(D.n, (1,) * D.n, frozenset(edges))
+    edges = frozenset(
+        (u, v) for u, m in enumerate(_epow_masks(D)) for v in bits(m) if v > u
+    )
+    return ColoredGraph(D.n, (1,) * D.n, edges)
 
 
 def pow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:

@@ -15,6 +15,7 @@ from .errors import PipelineError
 from .graph_core import (
     ColoredDiGraph,
     ColoredGraph,
+    bits,
     closed_twin_partition_directed,
 )
 from .numtheory import divisors, euler_phi, is_prime
@@ -42,10 +43,6 @@ class R1Reduction:
 
     graph: ColoredDiGraph
     classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(cls[0] for cls in self.classes)
 
 
 @dataclass(frozen=True)
@@ -123,15 +120,13 @@ def reduce_r1(X: ColoredDiGraph) -> R1Reduction:
 def reduce_r2(X: ColoredDiGraph) -> ColoredDiGraph:
     """Drop self-loops, then drop every arc (a, c) admitting a two-step
     path a -> b -> c with b distinct from both."""
-    arcs = {(u, v) for u, v in X.arcs if u != v}
-    out = {u: set() for u in range(X.n)}
-    for u, v in arcs:
-        out[u].add(v)
-    kept = {
-        (a, c)
-        for a, c in arcs
-        if not any(b not in (a, c) and c in out[b] for b in out[a])
-    }
+    out = [m & ~(1 << v) for v, m in enumerate(X.out_masks)]
+    kept = set()
+    for a, out_a in enumerate(out):
+        two_steps = 0
+        for b in bits(out_a):
+            two_steps |= out[b]
+        kept.update((a, c) for c in bits(out_a & ~two_steps))
     return ColoredDiGraph(X.n, X.colors, frozenset(kept))
 
 
@@ -221,17 +216,16 @@ def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
                 f"arc ({u}, {v}) has color ratio {cu}/{cv}, not a prime"
             )
 
-    acyclic = _is_acyclic(X)
+    reach = reachability(X)
+    acyclic = not any(u in reach[v] for u, v in X.arcs)
     if not acyclic:
         violations.append("graph contains a directed cycle")
 
     sources_ok = True
     if acyclic:
-        reach = reachability(X)
-        indeg0 = {v for v in range(X.n) if X.in_degree(v) == 0}
         for v in range(X.n):
             dominated = any(v in reach[w] for w in range(X.n) if w != v)
-            if (v in indeg0) == dominated:
+            if (X.in_degree(v) == 0) == dominated:
                 sources_ok = False
                 violations.append(
                     f"vertex {v}: in-degree-0 status inconsistent with reachability"
@@ -239,43 +233,17 @@ def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
     return R2Report(acyclic, prime_ok, sources_ok, tuple(violations))
 
 
-def _is_acyclic(X: ColoredDiGraph) -> bool:
-    state = [0] * X.n  # 0 unseen, 1 on stack, 2 done
-    for start in range(X.n):
-        if state[start]:
-            continue
-        stack = [(start, iter(X.out_neighbors(start)))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == v:
-                    return False
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(X.out_neighbors(w))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return True
-
-
 def reachability(X: ColoredDiGraph) -> list[set[int]]:
     """reach[v] is the set of vertices reachable from v, v included."""
+    out = X.out_masks
     reach = []
     for v in range(X.n):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in X.out_neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(seen)
+        seen = todo = 1 << v
+        while todo:
+            u = (todo & -todo).bit_length() - 1
+            todo ^= 1 << u
+            new = out[u] & ~seen
+            seen |= new
+            todo |= new
+        reach.append(set(bits(seen)))
     return reach

@@ -399,3 +399,97 @@ def relabel_table(table, perm):
         for j in range(n):
             new[perm[i]][perm[j]] = perm[table[i][j]]
     return tuple(map(tuple, new))
+
+
+# --- reference digraph stages ---------------------------------------------
+#
+# The directed stages as they were before ColoredDiGraph's adjacency became
+# out/in-neighborhood bitmasks: per-vertex frozenset tables, and arc scans
+# for subgraphs.  The library's mask-based versions must agree with them
+# exactly.
+
+
+def reference_out_in(X: ColoredDiGraph):
+    """Out- and in-neighbor frozensets per vertex."""
+    out = [set() for _ in range(X.n)]
+    inn = [set() for _ in range(X.n)]
+    for u, v in X.arcs:
+        out[u].add(v)
+        inn[v].add(u)
+    return tuple(map(frozenset, out)), tuple(map(frozenset, inn))
+
+
+def reference_twin_partition_directed(X: ColoredDiGraph) -> TwinPartition:
+    out, inn = reference_out_in(X)
+    groups: dict[object, list[int]] = {}
+    for v in range(X.n):
+        groups.setdefault((X.colors[v], out[v] | {v}, inn[v] | {v}), []).append(v)
+    classes = sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
+    return TwinPartition(tuple(classes))
+
+
+def reference_reduce_r2(X: ColoredDiGraph) -> ColoredDiGraph:
+    arcs = {(u, v) for u, v in X.arcs if u != v}
+    out = {u: set() for u in range(X.n)}
+    for u, v in arcs:
+        out[u].add(v)
+    kept = {
+        (a, c)
+        for a, c in arcs
+        if not any(b not in (a, c) and c in out[b] for b in out[a])
+    }
+    return ColoredDiGraph(X.n, X.colors, frozenset(kept))
+
+
+def reference_reachability(X: ColoredDiGraph) -> list[set[int]]:
+    out, _ = reference_out_in(X)
+    reach = []
+    for v in range(X.n):
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in out[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    return reach
+
+
+def reference_induced_subgraph(X, S):
+    mapping = tuple(sorted(S))
+    index = {old: new for new, old in enumerate(mapping)}
+    colors = tuple(X.colors[v] for v in mapping)
+    if isinstance(X, ColoredDiGraph):
+        arcs = frozenset(
+            (index[u], index[v]) for u, v in X.arcs if u in index and v in index
+        )
+        return ColoredDiGraph(len(mapping), colors, arcs), mapping
+    edges = frozenset(
+        (index[u], index[v]) for u, v in X.edges if u in index and v in index
+    )
+    return ColoredGraph(len(mapping), colors, edges), mapping
+
+
+def reference_epow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:
+    out, _ = reference_out_in(D)
+    edges = set()
+    for w in range(D.n):
+        members = sorted(out[w] | {w})
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                edges.add((u, v))
+    return ColoredGraph(D.n, (1,) * D.n, frozenset(edges))
+
+
+@st.composite
+def small_digraphs(draw, max_n: int, max_color: int = 3) -> ColoredDiGraph:
+    """Arbitrary digraphs on 1..max_n vertices, self-loops allowed, with
+    colors 1..max_color."""
+    n = draw(st.integers(1, max_n))
+    arcs = frozenset(
+        (u, v) for u in range(n) for v in range(n) if draw(st.booleans())
+    )
+    colors = tuple(draw(st.integers(1, max_color)) for _ in range(n))
+    return ColoredDiGraph(n, colors, arcs)

@@ -67,6 +67,10 @@ class TestGenerate:
     def test_parse_error_exit_2(self, tmp_path):
         assert run("generate", "Zx", "--kind", "pow", "--out", str(tmp_path / "o")) == 2
 
+    def test_spec_parameter_past_int_digit_limit_exit_2(self, tmp_path):
+        spec = "Z" + "9" * 5000
+        assert run("generate", spec, "--kind", "pow", "--out", str(tmp_path / "o")) == 2
+
     def test_io_error_exit_3(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.graph"
         assert run("generate", "Z4", "--kind", "pow", "--out", str(missing_dir)) == 3
@@ -106,6 +110,26 @@ class TestDetect:
     def test_malformed_file_exit_2(self, tmp_path):
         path = tmp_path / "junk.graph"
         path.write_text("not a graph\n")
+        assert run("detect", str(path), "--kind", "pow") == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "trigraph 3\nnocolors\n",
+            "graph x\nnocolors\n",
+            "graph 2\ncolors 1\n",
+            "graph 2\ncolors 1 0\n",
+            "graph 2\nnocolors\n0 5",
+            "graph 2\nnocolors\n0 0",
+            "graph 2\nnocolors\n0 1 2",
+            "digraph 2\ncolors 1 a\n",
+            "digraph 2\nnocolors\n2 0",
+        ],
+    )
+    def test_malformed_graph_text_exit_2(self, tmp_path, text):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
         assert run("detect", str(path), "--kind", "pow") == 2
 
     def test_directed_input_exit_2(self, tmp_path):

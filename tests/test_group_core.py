@@ -340,6 +340,18 @@ class TestGroupSpecParsing:
         with pytest.raises(GroupSpecError, match="exceeds maximum 100"):
             parse_group_spec(spec, max_order=100)
 
+    def test_parameter_past_int_digit_limit(self):
+        with pytest.raises(GroupSpecError, match="too many digits"):
+            parse_group_spec("Z" + "9" * 5000)
+
+    def test_file_order_read_before_any_table(self, s3_file, monkeypatch):
+        for name in ("cyclic_group", "dihedral_group", "heisenberg_group",
+                     "elementary_abelian_group", "quaternion_group",
+                     "group_from_cayley_table"):
+            monkeypatch.setattr(group_core, name, None)
+        with pytest.raises(GroupSpecError, match="exceeds maximum 2000"):
+            parse_group_spec(f"Z1000xfile:{s3_file}")
+
     @pytest.mark.parametrize("spec", ["Heis0", "ElemAb(0,2)", "Heis1"])
     def test_prime_parameter_below_two(self, spec):
         with pytest.raises(GroupSpecError, match="must be prime"):

@@ -340,7 +340,8 @@ class TestCheckDpow:
         D = ColoredDiGraph(2, (1, 1), frozenset({(0, 0), (1, 1)}))
         with pytest.raises(PipelineError, match="0 edges"):
             check_dpow(self.K2, D, "pow")
-        assert check_dpow(self.K2, D, "epow") is D
+        with pytest.raises(PipelineError):
+            check_dpow(self.K2, D, "epow")
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(8))
@@ -350,6 +351,15 @@ class TestCheckDpow:
         except PipelineError:
             return
         assert color_iso(pow_from_dpow(D), Gamma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(8))
+    def test_arbitrary_graph_gives_checked_epow_answer_or_pipeline_error(self, Gamma):
+        try:
+            D = dpow_from_enhanced_graph(Gamma)
+        except PipelineError:
+            return
+        assert color_iso(epow_from_dpow(D), Gamma)
 
 
 class TestGraphConversions:
