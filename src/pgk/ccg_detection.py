@@ -159,7 +159,14 @@ def _mark_cc(Gamma, labels, v, identity):
 def mark_ccg_enhanced(Gamma: ColoredGraph) -> CcgMarking:
     """Mark a CCG-set in an enhanced power graph: sweep the vertices in
     ascending degree order, marking the first unmarked vertex CC and all
-    of its neighbors NC."""
+    of its neighbors NC.
+
+    In an enhanced power graph, N[g] = <g> for a CC vertex g, and N[v]
+    is the union of the maximal cyclic subgroups that contain v.  So
+    each N[v] must be the union of the CC neighborhoods containing v,
+    which also makes every CC neighborhood a clique; a vertex where this
+    fails is named in a PipelineError.
+    """
     n = Gamma.n
     if n == 0:
         raise PipelineError("empty graph")
@@ -168,4 +175,16 @@ def mark_ccg_enhanced(Gamma: ColoredGraph) -> CcgMarking:
     for v in order:
         if labels[v] == UNLABELED:
             _mark_cc(Gamma, labels, v, None)
+    masks = Gamma.masks
+    cover = [0] * n
+    for g, label in enumerate(labels):
+        if label == CC:
+            for u in bits(masks[g]):
+                cover[u] |= masks[g]
+    for v in range(n):
+        if cover[v] != masks[v]:
+            raise PipelineError(
+                f"not an enhanced power graph: N[{v}] is not the union of "
+                "the CC neighborhoods that contain it"
+            )
     return CcgMarking(tuple(labels), tuple(order))

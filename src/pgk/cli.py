@@ -177,7 +177,7 @@ def _verify(args) -> int:
     else:
         dpow = dpow_from_enhanced_graph(graph)
         back = epow_from_dpow(dpow)
-    uncolored = ColoredGraph(graph.n, (1,) * graph.n, graph.edges)
+    uncolored = ColoredGraph._from_masks(graph.n, (1,) * graph.n, graph.masks)
     mapping = brute_force_color_iso(uncolored, back, cap=args.cap)
     if mapping is None:
         print("inconsistent: reconstruction does not match the input")

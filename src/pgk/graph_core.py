@@ -1,12 +1,14 @@
 """Colored graph and digraph values, twin partitions, products, and a
 small brute-force color-preserving isomorphism oracle.
 
-Graphs are immutable: edges live in frozensets, and each graph kind has
-one cached adjacency, as int bitmasks (nauty's set words): closed
-neighborhoods for an undirected graph, out- and in-neighborhoods for a
-digraph.  Vertex colors are positive integers (in context, the order of
-the group element behind the vertex); an "uncolored" graph simply
-carries color 1 everywhere.
+Graphs are immutable and store their adjacency as int bitmasks, one per
+vertex (nauty's set words): closed neighborhoods for an undirected
+graph, out-neighborhoods for a digraph.  Every builder, parser and
+stage in pgk reads and writes these masks; the edge and arc sets, and a
+digraph's in-neighborhoods, are views computed on first use.  Vertex
+colors are positive integers (in context, the order of the group
+element behind the vertex); an "uncolored" graph simply carries color 1
+everywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count
+from operator import itemgetter
 
 from .errors import GraphFormatError, SizeCapError
 
@@ -37,34 +41,52 @@ __all__ = [
 ISO_CAP_DEFAULT = 30
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+def _check_colors(n, colors) -> None:
+    if len(colors) != n:
+        raise ValueError("colors length must equal vertex count")
+    if any(c < 1 for c in colors):
+        raise ValueError("colors must be positive integers")
+
+
+class _MaskGraph:
+    @classmethod
+    def _from_masks(cls, n, colors, masks):
+        """Unchecked constructor: colors and masks must already be a valid
+        graph of this kind on n vertices."""
+        self = object.__new__(cls)
+        vars(self).update(zip(cls.__dataclass_fields__, (n, colors, tuple(masks))))
+        return self
+
+
+@dataclass(frozen=True, init=False)
+class ColoredGraph(_MaskGraph):
     """Simple undirected graph with a positive integer color per vertex.
 
-    Edges are stored as (u, v) pairs with u < v; no self-loops.
+    Bit u of masks[v] is set iff u == v or {u, v} is an edge.  The
+    constructor takes the edges as (u, v) pairs with u < v; no
+    self-loops.
     """
 
     n: int
     colors: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.colors) != self.n:
-            raise ValueError("colors length must equal vertex count")
-        if any(c < 1 for c in self.colors):
-            raise ValueError("colors must be positive integers")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Bit u of masks[v] is set iff u == v or {u, v} is an edge."""
-        masks = [1 << v for v in range(self.n)]
-        for u, v in self.edges:
+    def __init__(self, n, colors, edges):
+        _check_colors(n, colors)
+        masks = [1 << v for v in range(n)]
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return tuple(masks)
+        vars(self).update(n=n, colors=colors, masks=tuple(masks))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (u, v) pairs with u < v, built from the masks."""
+        return frozenset(
+            (u, v) for u, m in enumerate(self.masks) for v in bits(m & -(2 << u))
+        )
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(bits(self.masks[v] ^ (1 << v)))
@@ -76,46 +98,55 @@ class ColoredGraph:
         return self.masks[v].bit_count() - 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return u != v and self.masks[u] >> v & 1 == 1
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return self.masks.count((1 << self.n) - 1) == self.n
 
     def universal_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.degree(v) == self.n - 1]
+        full = (1 << self.n) - 1
+        return [v for v, m in enumerate(self.masks) if m == full]
 
 
-@dataclass(frozen=True)
-class ColoredDiGraph:
-    """Directed graph with vertex colors; self-loops permitted."""
+@dataclass(frozen=True, init=False)
+class ColoredDiGraph(_MaskGraph):
+    """Directed graph with vertex colors; self-loops permitted.
+
+    Bit w of out_masks[v] is set iff (v, w) is an arc.
+    """
 
     n: int
     colors: tuple[int, ...]
-    arcs: frozenset[tuple[int, int]]
+    out_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.colors) != self.n:
-            raise ValueError("colors length must equal vertex count")
-        if any(c < 1 for c in self.colors):
-            raise ValueError("colors must be positive integers")
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"bad arc ({u}, {v}) for n={self.n}")
+    def __init__(self, n, colors, arcs):
+        _check_colors(n, colors)
+        masks = [0] * n
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"bad arc ({u}, {v}) for n={n}")
+            masks[u] |= 1 << v
+        vars(self).update(n=n, colors=colors, out_masks=tuple(masks))
 
     @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Bit w of out_masks[v] is set iff (v, w) is an arc."""
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-        return tuple(masks)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The (u, v) pairs, built from the masks."""
+        return frozenset(
+            (u, v) for u, m in enumerate(self.out_masks) for v in bits(m)
+        )
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        """Bit u of in_masks[v] is set iff (u, v) is an arc."""
+        """Bit u of in_masks[v] is set iff (u, v) is an arc.  Vertices
+        with equal out-masks are transposed together, so a directed power
+        graph costs one pass per cyclic subgroup, not per element."""
+        sources: dict[int, int] = {}
+        for u, m in enumerate(self.out_masks):
+            sources[m] = sources.get(m, 0) | 1 << u
         masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[v] |= 1 << u
+        for m, us in sources.items():
+            for v in bits(m):
+                masks[v] |= us
         return tuple(masks)
 
     def closed_out_neighborhood(self, v: int) -> frozenset[int]:
@@ -128,12 +159,13 @@ class ColoredDiGraph:
         return self.in_masks[v].bit_count()
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return self.out_masks[u] >> v & 1 == 1
 
     def undirected_shadow(self) -> ColoredGraph:
         """Forget directions and drop self-loops."""
-        edges = {(min(u, v), max(u, v)) for u, v in self.arcs if u != v}
-        return ColoredGraph(self.n, self.colors, frozenset(edges))
+        pairs = enumerate(zip(self.out_masks, self.in_masks))
+        masks = [o | i | 1 << v for v, (o, i) in pairs]
+        return ColoredGraph._from_masks(self.n, self.colors, masks)
 
 
 @dataclass(frozen=True)
@@ -153,9 +185,12 @@ class TwinPartition:
         return sorted(len(c) for c in self.classes)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+    """Positions of the set bits of a non-negative mask, ascending."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
 
 
 def _partition_by_key(n, key) -> TwinPartition:
@@ -180,6 +215,10 @@ def closed_twin_partition_directed(X: ColoredDiGraph) -> TwinPartition:
     )
 
 
+def _masks(X):
+    return X.out_masks if isinstance(X, ColoredDiGraph) else X.masks
+
+
 def induced_subgraph(X, S):
     """Induced subgraph on vertex set S, relabeled to [0, |S|).
 
@@ -190,66 +229,55 @@ def induced_subgraph(X, S):
     for v in mapping:
         if not (0 <= v < X.n):
             raise ValueError(f"vertex {v} out of range")
-    index = {old: new for new, old in enumerate(mapping)}
+    new_bit = dict(zip(mapping, (1 << i for i in range(len(mapping)))))
     keep = sum(1 << v for v in mapping)
-    directed = isinstance(X, ColoredDiGraph)
-    masks = X.out_masks if directed else X.masks
-    pairs = frozenset(
-        (i, index[w])
-        for i, v in enumerate(mapping)
-        for w in bits(masks[v] & keep)
-        if directed or i < index[w]
+    masks = _masks(X)
+    sub = tuple(
+        sum(map(new_bit.__getitem__, bits(masks[v] & keep))) for v in mapping
     )
     colors = tuple(X.colors[v] for v in mapping)
-    return type(X)(len(mapping), colors, pairs), mapping
+    return type(X)._from_masks(len(mapping), colors, sub), mapping
 
 
 def strong_product(X: ColoredDiGraph, Y: ColoredDiGraph) -> ColoredDiGraph:
     """Strong product of two digraphs, row-major vertex indexing.
 
-    Distinct pairs follow the three standard clauses; a self-loop appears
-    at (u, u') exactly when both u and u' carry self-loops (so products
-    of directed power graphs keep their loops).  Colors multiply.
+    Distinct pairs follow the three standard clauses, so (v, v') is an
+    out-neighbor of (u, u') iff v is in N+[u] and v' in N+[u'].  A
+    self-loop appears at (u, u') exactly when both u and u' carry
+    self-loops (so products of directed power graphs keep their loops).
+    Colors multiply.
     """
     ny = Y.n
-    n = X.n * ny
-    colors = tuple(
-        X.colors[u] * Y.colors[up] for u in range(X.n) for up in range(ny)
-    )
-    arcs = set()
-    for u in range(X.n):
-        for up in range(ny):
-            src = u * ny + up
-            for v in range(X.n):
-                for vp in range(ny):
-                    if u == v and up == vp:
-                        if X.has_arc(u, u) and Y.has_arc(up, up):
-                            arcs.add((src, src))
-                        continue
-                    ok = (
-                        (u == v and Y.has_arc(up, vp))
-                        or (up == vp and X.has_arc(u, v))
-                        or (X.has_arc(u, v) and Y.has_arc(up, vp))
-                    )
-                    if ok:
-                        arcs.add((src, v * ny + vp))
-    return ColoredDiGraph(n, colors, frozenset(arcs))
+    colors = tuple(cx * cy for cx in X.colors for cy in Y.colors)
+    masks = []
+    for u, mx in enumerate(X.out_masks):
+        row = bits(mx | 1 << u)
+        for up, my in enumerate(Y.out_masks):
+            out = sum((my | 1 << up) << v * ny for v in row)
+            if not (X.has_arc(u, u) and Y.has_arc(up, up)):
+                out &= ~(1 << u * ny + up)
+            masks.append(out)
+    return ColoredDiGraph._from_masks(X.n * ny, colors, masks)
 
 
 def relabel(X, perm):
     """Apply a permutation (perm[old] = new) to the vertices of X."""
-    if sorted(perm) != list(range(X.n)):
+    n = X.n
+    if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of the vertex set")
-    colors = [0] * X.n
-    for old, new in enumerate(perm):
-        colors[new] = X.colors[old]
-    if isinstance(X, ColoredDiGraph):
-        arcs = frozenset((perm[u], perm[v]) for u, v in X.arcs)
-        return ColoredDiGraph(X.n, tuple(colors), arcs)
-    edges = frozenset(
-        (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in X.edges
-    )
-    return ColoredGraph(X.n, tuple(colors), edges)
+    if n == 0:
+        return X
+    colors = [0] * n
+    masks = [0] * n
+    # bit perm[v] of a new mask is bit v of the old one: permute the
+    # mask's binary digits as one string
+    take = itemgetter(*sorted(range(n), key=perm.__getitem__))
+    for old, (c, m) in enumerate(zip(X.colors, _masks(X))):
+        digits = bin(m)[:1:-1].ljust(n, "0")  # digits[v] is bit v
+        colors[perm[old]] = c
+        masks[perm[old]] = int("".join(take(digits))[::-1], 2)
+    return type(X)._from_masks(n, tuple(colors), masks)
 
 
 def _signature(X, v):
@@ -287,14 +315,10 @@ def brute_force_color_iso(X, Y, cap: int = ISO_CAP_DEFAULT):
         return None
     if X.n > cap:
         raise SizeCapError(f"iso oracle cap exceeded: {X.n} > {cap}")
+    # equal degree signatures imply equal edge (arc) counts
     if Counter(_signature(X, v) for v in range(X.n)) != Counter(
         _signature(Y, v) for v in range(Y.n)
     ):
-        return None
-    if isinstance(X, ColoredDiGraph):
-        if len(X.arcs) != len(Y.arcs):
-            return None
-    elif len(X.edges) != len(Y.edges):
         return None
 
     candidates = {
@@ -341,19 +365,42 @@ def format_graph(X, with_colors: bool = True) -> str:
         lines.append("colors " + " ".join(str(c) for c in X.colors))
     else:
         lines.append("nocolors")
-    pairs = X.arcs if directed else X.edges
-    for u, v in sorted(pairs):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    names = [str(v) for v in range(X.n)]
+    # one string per vertex: its out-neighbors (undirected: neighbors
+    # above it), ascending
+    for u, m in enumerate(_masks(X)):
+        if not directed:
+            m &= -(2 << u)
+        if m:
+            head = names[u] + " "
+            lines.append(head + ("\n" + head).join(map(names.__getitem__, bits(m))))
+    lines.append("")
+    return "\n".join(lines)
+
+
+_CHUNK = 1 << 16
+
+
+def _chunks(text: str):
+    """text in pieces of about _CHUNK characters, each cut just after a
+    newline, so str.splitlines splits the pieces as it splits text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def parse_graph(text: str):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Read format_graph's text, one line at a time, straight into masks."""
+    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
+    nonblank = filter(str.strip, lines)
+    header = next(nonblank, None)
+    if header is None:
         raise GraphFormatError("empty graph file")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2 or head[0] not in ("graph", "digraph"):
-        raise GraphFormatError(f"bad header line: {lines[0]!r}")
+        raise GraphFormatError(f"bad header line: {header.strip()!r}")
     directed = head[0] == "digraph"
     try:
         n = int(head[1])
@@ -361,9 +408,10 @@ def parse_graph(text: str):
         raise GraphFormatError(f"bad vertex count: {head[1]!r}") from None
     if n < 0:
         raise GraphFormatError(f"bad vertex count: {n}")
-    if len(lines) < 2:
+    colors_line = next(nonblank, None)
+    if colors_line is None:
         raise GraphFormatError("missing colors line")
-    ctok = lines[1].split()
+    ctok = colors_line.split()
     if ctok[0] == "colors":
         try:
             colors = tuple(int(c) for c in ctok[1:])
@@ -372,24 +420,47 @@ def parse_graph(text: str):
     elif ctok[0] == "nocolors" and len(ctok) == 1:
         colors = (1,) * n
     else:
-        raise GraphFormatError(f"bad colors line: {lines[1]!r}")
-    pairs = set()
-    for ln in lines[2:]:
-        tok = ln.split()
-        if len(tok) != 2:
-            raise GraphFormatError(f"bad edge line: {ln!r}")
-        try:
-            u, v = int(tok[0]), int(tok[1])
-        except ValueError:
-            raise GraphFormatError(f"bad edge line: {ln!r}") from None
-        pairs.add((u, v) if directed or u < v else (v, u))
-    # the constructor checks colors and every edge, self-loops included
+        raise GraphFormatError(f"bad colors line: {colors_line.strip()!r}")
     try:
-        return (ColoredDiGraph if directed else ColoredGraph)(
-            n, colors, frozenset(pairs)
-        )
+        _check_colors(n, colors)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
+    index = {str(v): v for v in range(n)}
+    masks = [0] * n if directed else [1 << v for v in range(n)]
+    for ln in lines:
+        try:
+            a, b = ln.split()
+        except ValueError:
+            if ln.strip():
+                raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
+            continue  # blank line
+        try:
+            u, v = index[a], index[b]
+        except KeyError:
+            u, v = _edge_ends(ln, n, directed)
+        if directed:
+            masks[u] |= 1 << v
+        elif u != v:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        else:
+            raise GraphFormatError(f"bad edge ({u}, {v}) for n={n}")
+    return (ColoredDiGraph if directed else ColoredGraph)._from_masks(n, colors, masks)
+
+
+def _edge_ends(ln: str, n: int, directed: bool):
+    """(u, v) from an edge line that is not written as format_graph
+    writes it, or GraphFormatError."""
+    try:
+        u, v = map(int, ln.split())
+    except ValueError:
+        raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
+    if not directed:
+        u, v = min(u, v), max(u, v)
+    if not (0 <= u < n and 0 <= v < n) or (not directed and u == v):
+        kind = "arc" if directed else "edge"
+        raise GraphFormatError(f"bad {kind} ({u}, {v}) for n={n}")
+    return u, v
 
 
 def load_graph(path):

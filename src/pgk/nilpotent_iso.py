@@ -35,7 +35,8 @@ def canonical_tree_code(T: ColoredGraph) -> str:
     vertex; equal codes iff color-preserving isomorphic."""
     if T.n == 0:
         raise PipelineError("empty graph is not a tree")
-    if len(T.edges) != T.n - 1 or not _is_connected(T):
+    degree_sum = sum(m.bit_count() - 1 for m in T.masks)
+    if degree_sum != 2 * (T.n - 1) or not _is_connected(T):
         raise PipelineError("input is not a tree")
     roots = [v for v in range(T.n) if T.colors[v] == 1]
     if len(roots) != 1:
@@ -119,4 +120,4 @@ def _recolor_by_out_degree(D: ColoredDiGraph) -> ColoredDiGraph:
             "directed power graphs have a self-loop at every vertex; "
             "found a vertex with empty out-neighborhood"
         )
-    return ColoredDiGraph(D.n, colors, D.arcs)
+    return ColoredDiGraph._from_masks(D.n, colors, D.out_masks)

@@ -5,8 +5,9 @@ The pipeline is: mark a CCG-set, summarize into R4, rebuild R3 by gluing
 divisor Hasse diagrams, orient back to R2, close up to R1, and expand
 twin classes into the full colored directed power graph; `check_dpow`
 then rejects a result whose vertex count differs from the input's, or,
-from a power graph, whose shadow edge count does, or, from an enhanced
-power graph, whose enhanced power graph's degree multiset does.  The
+from a power graph, whose shadow's edge count or degree multiset does,
+or, from an enhanced power graph, whose enhanced power graph's degree
+multiset does.  Every stage reads and writes bitmask adjacency.  The
 output is an isomorphic copy, not a relabeling of the input vertices:
 closed twins are interchangeable and the reconstruction does not try to
 tell them apart.
@@ -21,7 +22,7 @@ from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
 from .graph_core import ColoredDiGraph, ColoredGraph, bits
 from .numtheory import euler_phi, is_prime
-from .reductions import R4Graph, hasse_divisor_graph, reachability
+from .reductions import R4Graph, hasse_divisor_graph, reach_masks
 
 __all__ = [
     "Algorithm3Step",
@@ -86,7 +87,8 @@ class Algorithm3Step:
 
 def _glue(X: R4Graph):
     """Glue the divisor Hasse diagram of each CCG color in turn, yielding
-    (colors, edges, identified) after each; the state is mutated in place.
+    (colors, masks, identified) after each, masks being the closed
+    neighborhoods so far; the state is mutated in place.
 
     A cyclic group has exactly one subgroup per divisor of its order, so
     in R3 the descendants of g_s are one vertex per divisor of col(g_s).
@@ -98,7 +100,7 @@ def _glue(X: R4Graph):
     if X.m == 0:
         raise PipelineError("R4 graph with no CCG vertices")
     colors: list[int] = []
-    edges: set[tuple[int, int]] = set()
+    masks: list[int] = []
     lattices: list[dict[int, int]] = []  # per g_s: divisor -> vertex id
     for j, cj in enumerate(X.ccg_colors):
         if cj < 1:
@@ -123,23 +125,24 @@ def _glue(X: R4Graph):
             if d not in lattice:
                 lattice[d] = len(colors)
                 colors.append(d)
+                masks.append(0)
         ids = [lattice[d] for d in hasse.colors]
-        edges.update(
-            (min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in hasse.edges
-        )
+        for a, m in enumerate(hasse.masks):
+            for b in bits(m):
+                masks[ids[a]] |= 1 << ids[b]
         lattices.append(lattice)
-        yield colors, edges, identified
+        yield colors, masks, identified
 
 
 def r3_from_r4_steps(X: R4Graph) -> list[Algorithm3Step]:
     """Run the R4 -> R3 gluing and return every intermediate state."""
     return [
         Algorithm3Step(
-            ColoredGraph(len(colors), tuple(colors), frozenset(edges)),
+            ColoredGraph._from_masks(len(colors), tuple(colors), masks),
             tuple(range(len(colors))),
             identified,
         )
-        for colors, edges, identified in _glue(X)
+        for colors, masks, identified in _glue(X)
     ]
 
 
@@ -150,80 +153,89 @@ def r3_from_r4(X: R4Graph) -> ColoredGraph:
     each further CCG vertex, glues in its own diagram along the shared
     divisors dictated by the pairwise intersection colors.
     """
-    for colors, edges, _ in _glue(X):
+    for colors, masks, _ in _glue(X):
         pass
-    return ColoredGraph(len(colors), tuple(colors), frozenset(edges))
+    return ColoredGraph._from_masks(len(colors), tuple(colors), masks)
 
 
 def r2_from_r3(X: ColoredGraph) -> ColoredDiGraph:
     """Orient every R3 edge from the larger color to the smaller."""
-    arcs = set()
-    for u, v in X.edges:
-        cu, cv = X.colors[u], X.colors[v]
-        hi, lo = (u, v) if cu > cv else (v, u)
-        ratio_ok = (
-            max(cu, cv) % min(cu, cv) == 0 and is_prime(max(cu, cv) // min(cu, cv))
-        )
-        if not ratio_ok:
-            raise PipelineError(
-                f"edge ({u}, {v}) joins colors {cu} and {cv} without prime ratio"
+    out = [0] * X.n
+    for u, m in enumerate(X.masks):
+        for v in bits(m & -(2 << u)):
+            cu, cv = X.colors[u], X.colors[v]
+            hi, lo = (u, v) if cu > cv else (v, u)
+            ratio_ok = (
+                max(cu, cv) % min(cu, cv) == 0
+                and is_prime(max(cu, cv) // min(cu, cv))
             )
-        arcs.add((hi, lo))
-    return ColoredDiGraph(X.n, X.colors, frozenset(arcs))
+            if not ratio_ok:
+                raise PipelineError(
+                    f"edge ({u}, {v}) joins colors {cu} and {cv} without prime ratio"
+                )
+            out[hi] |= 1 << lo
+    return ColoredDiGraph._from_masks(X.n, X.colors, out)
 
 
 def r1_from_r2(X: ColoredDiGraph) -> ColoredDiGraph:
     """Reflexive and transitive closure."""
-    arcs = {(v, w) for v, reach in enumerate(reachability(X)) for w in reach}
-    return ColoredDiGraph(X.n, X.colors, frozenset(arcs))
+    return ColoredDiGraph._from_masks(X.n, X.colors, reach_masks(X))
 
 
 def cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
     """Blow each R1 vertex u up into a cluster of euler_phi(col(u))
-    mutually adjacent closed twins, preserving inter-cluster arcs."""
+    mutually adjacent closed twins (with self-loops), preserving
+    inter-cluster arcs: every member of u's cluster points at the
+    clusters of N+[u]."""
+    sizes = [euler_phi(c) for c in X.colors]
     clusters = []
     colors: list[int] = []
-    arcs = set()
-    for c in X.colors:
-        cluster = range(len(colors), len(colors) + euler_phi(c))
-        clusters.append(cluster)
-        colors += [c] * len(cluster)
-        arcs.update((a, b) for a in cluster for b in cluster)  # with self-loops
-    for u, v in X.arcs:
-        if u != v:
-            arcs.update((a, b) for a in clusters[u] for b in clusters[v])
-    return ColoredDiGraph(len(colors), tuple(colors), frozenset(arcs))
+    for c, size in zip(X.colors, sizes):
+        clusters.append(((1 << size) - 1) << len(colors))
+        colors += [c] * size
+    out: list[int] = []
+    for u, (m, size) in enumerate(zip(X.out_masks, sizes)):
+        mask = 0
+        for v in bits(m | 1 << u):
+            mask |= clusters[v]
+        out += [mask] * size
+    return ColoredDiGraph._from_masks(len(colors), tuple(colors), out)
 
 
 def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGraph:
     """Return D if it passes the necessary checks against the input
     Gamma, else raise PipelineError: equal vertex counts and, for kind
-    "pow", as many undirected-shadow edges as Gamma has edges (counted
-    off the arcs, without building the shadow); for kind "epow", the
-    same degree multiset in D's enhanced power graph as in Gamma."""
+    "pow", equal edge counts and degree multisets of Gamma and D's
+    undirected shadow; for kind "epow", the same degree multiset in D's
+    enhanced power graph as in Gamma."""
     if D.n != Gamma.n:
         raise PipelineError(
             f"reconstruction has {D.n} vertices, the input has {Gamma.n}"
         )
+    want = _degrees(Gamma.masks)
     if kind == "pow":
-        shadow = sum(
-            1 for u, v in D.arcs if u < v or (u > v and (v, u) not in D.arcs)
-        )
-        if shadow != len(Gamma.edges):
+        graph, got = "shadow", _degrees(D.undirected_shadow().masks)
+        edges, input_edges = sum(got.elements()) // 2, sum(want.elements()) // 2
+        if edges != input_edges:
             raise PipelineError(
-                f"reconstruction's shadow has {shadow} edges, "
-                f"the input has {len(Gamma.edges)}"
+                f"reconstruction's shadow has {edges} edges, "
+                f"the input has {input_edges}"
             )
     elif kind == "epow":
-        got = Counter(m.bit_count() - 1 for m in _epow_masks(D))
-        want = Counter(m.bit_count() - 1 for m in Gamma.masks)
-        if got != want:
-            d = min(k for k in got | want if got[k] != want[k])
-            raise PipelineError(
-                f"reconstruction's enhanced power graph has {got[d]} vertices "
-                f"of degree {d}, the input has {want[d]}"
-            )
+        graph, got = "enhanced power graph", _degrees(_epow_masks(D))
+    else:
+        return D
+    if got != want:
+        d = min(k for k in got | want if got[k] != want[k])
+        raise PipelineError(
+            f"reconstruction's {graph} has {got[d]} vertices "
+            f"of degree {d}, the input has {want[d]}"
+        )
     return D
+
+
+def _degrees(closed_masks) -> Counter:
+    return Counter(m.bit_count() - 1 for m in closed_masks)
 
 
 def _dpow_pipeline(Gamma: ColoredGraph, marking: CcgMarking, kind: str):
@@ -248,25 +260,21 @@ def dpow_from_enhanced_graph(Gamma: ColoredGraph) -> ColoredDiGraph:
 
 def _epow_masks(D: ColoredDiGraph) -> list[int]:
     """Closed neighborhoods of D's enhanced power graph as bitmasks: N[u]
-    is the union of the closed out-neighborhoods that contain u, that is
-    of N+[u] and of N+[w] for each arc (w, u)."""
-    closed = [m | 1 << w for w, m in enumerate(D.out_masks)]
-    masks = closed.copy()
-    for w, u in D.arcs:
-        masks[u] |= closed[w]
+    is the union of the closed out-neighborhoods that contain u.  Each
+    distinct one is spread over its members once."""
+    masks = [0] * D.n
+    for closed in dict.fromkeys(m | 1 << w for w, m in enumerate(D.out_masks)):
+        for u in bits(closed):
+            masks[u] |= closed
     return masks
 
 
 def epow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:
     """Edge {u, v} iff some vertex's closed out-neighborhood contains
     both; the result is the enhanced power graph, uncolored."""
-    edges = frozenset(
-        (u, v) for u, m in enumerate(_epow_masks(D)) for v in bits(m) if v > u
-    )
-    return ColoredGraph(D.n, (1,) * D.n, edges)
+    return ColoredGraph._from_masks(D.n, (1,) * D.n, _epow_masks(D))
 
 
 def pow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:
     """Undirected shadow without self-loops, uncolored."""
-    shadow = D.undirected_shadow()
-    return ColoredGraph(shadow.n, (1,) * shadow.n, shadow.edges)
+    return ColoredGraph._from_masks(D.n, (1,) * D.n, D.undirected_shadow().masks)

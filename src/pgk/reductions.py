@@ -30,6 +30,7 @@ __all__ = [
     "reduce_r4",
     "descendants",
     "reachability",
+    "reach_masks",
     "ccg_vertices_in_r3",
     "hasse_divisor_graph",
     "verify_r2_structure",
@@ -69,15 +70,14 @@ class R4Graph:
     def to_colored_graph(self) -> ColoredGraph:
         """Materialize as a colored bipartite graph: A-side vertices
         0..m-1, then one B-side vertex per pair in pair order."""
-        m = self.m
-        colors = list(self.ccg_colors)
-        edges = set()
-        for idx, (i, j) in enumerate(self.pairs):
-            b = m + idx
-            colors.append(self.intersection_colors[(i, j)])
-            edges.add((i, b))
-            edges.add((j, b))
-        return ColoredGraph(m + len(self.pairs), tuple(colors), frozenset(edges))
+        m, pairs = self.m, self.pairs
+        colors = self.ccg_colors + tuple(self.intersection_colors[p] for p in pairs)
+        masks = [1 << v for v in range(len(colors))]
+        for b, (i, j) in enumerate(pairs, m):
+            masks[b] |= 1 << i | 1 << j
+            masks[i] |= 1 << b
+            masks[j] |= 1 << b
+        return ColoredGraph._from_masks(len(colors), colors, masks)
 
 
 @dataclass(frozen=True)
@@ -109,25 +109,33 @@ def reduce_r1(X: ColoredDiGraph) -> R1Reduction:
                 f"not a colored directed power graph: twin class {cls} has size "
                 f"{len(cls)}, expected euler_phi({color}) = {euler_phi(color)}"
             )
-    index = {v: i for i, cls in enumerate(classes) for v in cls}
+    # twins share their closed out-neighborhood, so a class's arcs are
+    # its first member's (which reach its twins, if it has any)
+    class_bit = [0] * X.n
+    for i, cls in enumerate(classes):
+        for v in cls:
+            class_bit[v] = 1 << i
+    masks = []
+    for cls in classes:
+        m = 0
+        for w in bits(X.out_masks[cls[0]]):
+            m |= class_bit[w]
+        masks.append(m)
     colors = tuple(X.colors[cls[0]] for cls in classes)
-    arcs = {(index[u], index[v]) for u, v in X.arcs}
-    return R1Reduction(
-        ColoredDiGraph(len(classes), colors, frozenset(arcs)), classes
-    )
+    return R1Reduction(ColoredDiGraph._from_masks(len(classes), colors, masks), classes)
 
 
 def reduce_r2(X: ColoredDiGraph) -> ColoredDiGraph:
     """Drop self-loops, then drop every arc (a, c) admitting a two-step
     path a -> b -> c with b distinct from both."""
     out = [m & ~(1 << v) for v, m in enumerate(X.out_masks)]
-    kept = set()
-    for a, out_a in enumerate(out):
+    kept = []
+    for out_a in out:
         two_steps = 0
         for b in bits(out_a):
             two_steps |= out[b]
-        kept.update((a, c) for c in bits(out_a & ~two_steps))
-    return ColoredDiGraph(X.n, X.colors, frozenset(kept))
+        kept.append(out_a & ~two_steps)
+    return ColoredDiGraph._from_masks(X.n, X.colors, kept)
 
 
 def reduce_r3(X: ColoredDiGraph) -> ColoredGraph:
@@ -192,13 +200,13 @@ def hasse_divisor_graph(n: int) -> ColoredGraph:
     """Hasse diagram of the divisors of n: one vertex per divisor (its
     color), edges between divisors at prime ratio."""
     divs = divisors(n)
-    index = {d: i for i, d in enumerate(divs)}
-    edges = set()
-    for d in divs:
-        for e in divs:
+    masks = [1 << i for i in range(len(divs))]
+    for i, d in enumerate(divs):
+        for j, e in enumerate(divs):
             if e > d and e % d == 0 and is_prime(e // d):
-                edges.add((index[d], index[e]))
-    return ColoredGraph(len(divs), tuple(divs), frozenset(edges))
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return ColoredGraph._from_masks(len(divs), tuple(divs), masks)
 
 
 def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
@@ -208,7 +216,8 @@ def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
     violations = []
 
     prime_ok = True
-    for u, v in X.arcs:
+    arcs = [(u, v) for u, m in enumerate(X.out_masks) for v in bits(m)]
+    for u, v in arcs:
         cu, cv = X.colors[u], X.colors[v]
         if cv == 0 or cu % cv != 0 or not is_prime(cu // cv):
             prime_ok = False
@@ -217,7 +226,7 @@ def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
             )
 
     reach = reachability(X)
-    acyclic = not any(u in reach[v] for u, v in X.arcs)
+    acyclic = not any(u in reach[v] for u, v in arcs)
     if not acyclic:
         violations.append("graph contains a directed cycle")
 
@@ -235,6 +244,12 @@ def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
 
 def reachability(X: ColoredDiGraph) -> list[set[int]]:
     """reach[v] is the set of vertices reachable from v, v included."""
+    return [set(bits(m)) for m in reach_masks(X)]
+
+
+def reach_masks(X: ColoredDiGraph) -> list[int]:
+    """Bit w of reach_masks(X)[v] is set iff w is reachable from v, v
+    included."""
     out = X.out_masks
     reach = []
     for v in range(X.n):
@@ -245,5 +260,5 @@ def reachability(X: ColoredDiGraph) -> list[set[int]]:
             new = out[u] & ~seen
             seen |= new
             todo |= new
-        reach.append(set(bits(seen)))
+        reach.append(seen)
     return reach

@@ -19,7 +19,7 @@ from pgk.ccg_detection import (
     CcgMarking,
     TwinProfile,
 )
-from pgk.errors import PipelineError
+from pgk.errors import GraphFormatError, PipelineError
 from pgk.graph_core import (
     ColoredDiGraph,
     ColoredGraph,
@@ -493,3 +493,126 @@ def small_digraphs(draw, max_n: int, max_color: int = 3) -> ColoredDiGraph:
     )
     colors = tuple(draw(st.integers(1, max_color)) for _ in range(n))
     return ColoredDiGraph(n, colors, arcs)
+
+
+# --- reference graph I/O, builders and relabeling -------------------------
+#
+# As they were while graphs stored frozensets of edge and arc tuples: each
+# reads or writes the pairs and goes through the public constructors.  The
+# library's mask-based versions must agree with them exactly (format_graph
+# byte for byte; parse_graph accepting and rejecting the same texts).
+
+
+def reference_bits(mask: int) -> list[int]:
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
+def reference_format_graph(X, with_colors: bool = True) -> str:
+    directed = isinstance(X, ColoredDiGraph)
+    lines = [f"{'digraph' if directed else 'graph'} {X.n}"]
+    if with_colors:
+        lines.append("colors " + " ".join(str(c) for c in X.colors))
+    else:
+        lines.append("nocolors")
+    pairs = X.arcs if directed else X.edges
+    for u, v in sorted(pairs):
+        lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_graph(text: str):
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GraphFormatError("empty graph file")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] not in ("graph", "digraph"):
+        raise GraphFormatError(f"bad header line: {lines[0]!r}")
+    directed = head[0] == "digraph"
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise GraphFormatError(f"bad vertex count: {head[1]!r}") from None
+    if n < 0:
+        raise GraphFormatError(f"bad vertex count: {n}")
+    if len(lines) < 2:
+        raise GraphFormatError("missing colors line")
+    ctok = lines[1].split()
+    if ctok[0] == "colors":
+        try:
+            colors = tuple(int(c) for c in ctok[1:])
+        except ValueError:
+            raise GraphFormatError("colors must be integers") from None
+    elif ctok[0] == "nocolors" and len(ctok) == 1:
+        colors = (1,) * n
+    else:
+        raise GraphFormatError(f"bad colors line: {lines[1]!r}")
+    pairs = set()
+    for ln in lines[2:]:
+        tok = ln.split()
+        if len(tok) != 2:
+            raise GraphFormatError(f"bad edge line: {ln!r}")
+        try:
+            u, v = int(tok[0]), int(tok[1])
+        except ValueError:
+            raise GraphFormatError(f"bad edge line: {ln!r}") from None
+        pairs.add((u, v) if directed or u < v else (v, u))
+    try:
+        return (ColoredDiGraph if directed else ColoredGraph)(
+            n, colors, frozenset(pairs)
+        )
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
+def reference_relabel(X, perm):
+    colors = [0] * X.n
+    for old, new in enumerate(perm):
+        colors[new] = X.colors[old]
+    if isinstance(X, ColoredDiGraph):
+        arcs = frozenset((perm[u], perm[v]) for u, v in X.arcs)
+        return ColoredDiGraph(X.n, tuple(colors), arcs)
+    edges = frozenset(
+        (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in X.edges
+    )
+    return ColoredGraph(X.n, tuple(colors), edges)
+
+
+def reference_directed_power_graph(G: FiniteGroup) -> ColoredDiGraph:
+    arcs = {(x, y) for x in range(G.order) for y in G.cyclic_subgroup(x).members}
+    return ColoredDiGraph(G.order, G.element_orders, frozenset(arcs))
+
+
+def reference_power_graph(G: FiniteGroup) -> ColoredGraph:
+    edges = {
+        (min(x, y), max(x, y))
+        for x in range(G.order)
+        for y in G.cyclic_subgroup(x).members
+        if y != x
+    }
+    return ColoredGraph(G.order, (1,) * G.order, frozenset(edges))
+
+
+def reference_enhanced_power_graph(G: FiniteGroup) -> ColoredGraph:
+    from pgk.group_core import maximal_cyclic_subgroups
+
+    edges = set()
+    for sub in maximal_cyclic_subgroups(G):
+        members = sorted(sub.members)
+        for i, x in enumerate(members):
+            edges.update((x, y) for y in members[i + 1 :])
+    return ColoredGraph(G.order, (1,) * G.order, frozenset(edges))
+
+
+def reference_cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
+    clusters = []
+    colors: list[int] = []
+    arcs = set()
+    for c in X.colors:
+        cluster = range(len(colors), len(colors) + euler_phi(c))
+        clusters.append(cluster)
+        colors += [c] * len(cluster)
+        arcs.update((a, b) for a in cluster for b in cluster)
+    for u, v in X.arcs:
+        if u != v:
+            arcs.update((a, b) for a in clusters[u] for b in clusters[v])
+    return ColoredDiGraph(len(colors), tuple(colors), frozenset(arcs))

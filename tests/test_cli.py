@@ -249,6 +249,18 @@ class TestReconstruct:
         extra = ["--out", str(tmp_path / "o.graph")] if command == "reconstruct" else []
         assert run(command, str(src), "--kind", "pow", *extra) == 4
 
+    @pytest.mark.parametrize("command", ["reconstruct", "detect", "verify"])
+    def test_wheel_w6_epow_exit_4(self, tmp_path, command):
+        # N[1] = {0, 1, 2, 4} is no clique, so it is no cyclic subgroup
+        src = tmp_path / "w6.graph"
+        src.write_text(
+            "graph 7\nnocolors\n"
+            + "".join(f"0 {v}\n" for v in range(1, 7))
+            + "1 2\n1 4\n2 6\n3 5\n3 6\n4 5\n"
+        )
+        extra = ["--out", str(tmp_path / "o.graph")] if command == "reconstruct" else []
+        assert run(command, str(src), "--kind", "epow", *extra) == 4
+
 
 class TestIso:
     def _write(self, tmp_path, name, graph, with_colors=False):

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.errors import PipelineError
@@ -323,6 +323,15 @@ class TestFullPipelines:
         assert color_iso(D, directed_power_graph(G))
 
 
+EIGHT_VERTEX_POW_GAP = (
+    [(0, 2), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (1, 7), (2, 3), (2, 4)]
+    + [(2, 6), (2, 7), (3, 4), (3, 6), (4, 5), (4, 6), (4, 7), (5, 7), (6, 7)]
+)
+WHEEL_W6 = [(0, v) for v in range(1, 7)] + [
+    (1, 2), (1, 4), (2, 6), (3, 5), (3, 6), (4, 5)
+]
+
+
 class TestCheckDpow:
     K2 = ColoredGraph(2, (1, 1), frozenset({(0, 1)}))
 
@@ -345,6 +354,8 @@ class TestCheckDpow:
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(8))
+    # right shadow edge count, wrong degree multiset
+    @example(ColoredGraph(8, (1,) * 8, frozenset(EIGHT_VERTEX_POW_GAP)))
     def test_arbitrary_graph_gives_checked_answer_or_pipeline_error(self, Gamma):
         try:
             D = dpow_from_power_graph(Gamma)
@@ -354,6 +365,8 @@ class TestCheckDpow:
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(8))
+    # right vertex count and EPow degree multiset, N[1] not a clique
+    @example(ColoredGraph(7, (1,) * 7, frozenset(WHEEL_W6)))
     def test_arbitrary_graph_gives_checked_epow_answer_or_pipeline_error(self, Gamma):
         try:
             D = dpow_from_enhanced_graph(Gamma)
