@@ -20,6 +20,7 @@ from itertools import chain, compress, count
 from operator import itemgetter
 
 from .errors import GraphFormatError, SizeCapError
+from .group_core import MAX_GROUP_ORDER
 
 __all__ = [
     "ColoredGraph",
@@ -35,7 +36,6 @@ __all__ = [
     "format_graph",
     "parse_graph",
     "load_graph",
-    "save_graph",
 ]
 
 ISO_CAP_DEFAULT = 30
@@ -149,9 +149,6 @@ class ColoredDiGraph(_MaskGraph):
                 masks[v] |= us
         return tuple(masks)
 
-    def closed_out_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.out_masks[v] | 1 << v))
-
     def out_degree(self, v: int) -> int:
         return self.out_masks[v].bit_count()
 
@@ -176,10 +173,6 @@ class TwinPartition:
     """
 
     classes: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def class_of(self) -> dict[int, tuple[int, ...]]:
-        return {v: cls for cls in self.classes for v in cls}
 
     def sizes(self) -> list[int]:
         return sorted(len(c) for c in self.classes)
@@ -392,7 +385,8 @@ def _chunks(text: str):
 
 
 def parse_graph(text: str):
-    """Read format_graph's text, one line at a time, straight into masks."""
+    """Read format_graph's text, one line at a time, straight into masks.
+    A vertex count above MAX_GROUP_ORDER is refused before any is built."""
     lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
     nonblank = filter(str.strip, lines)
     header = next(nonblank, None)
@@ -408,6 +402,8 @@ def parse_graph(text: str):
         raise GraphFormatError(f"bad vertex count: {head[1]!r}") from None
     if n < 0:
         raise GraphFormatError(f"bad vertex count: {n}")
+    if n > MAX_GROUP_ORDER:
+        raise GraphFormatError(f"vertex count {n} exceeds maximum {MAX_GROUP_ORDER}")
     colors_line = next(nonblank, None)
     if colors_line is None:
         raise GraphFormatError("missing colors line")
@@ -466,8 +462,3 @@ def _edge_ends(ln: str, n: int, directed: bool):
 def load_graph(path):
     with open(path, encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def save_graph(X, path, with_colors: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(X, with_colors=with_colors))

@@ -1,8 +1,9 @@
-"""Finite groups as Cayley tables, plus the cyclic-structure queries the
-graph algorithms are tested against.
+"""Finite groups as Cayley tables, and the one walk of their cyclic
+subgroups.  No other module reads a table: the rest of pgk sees a group
+through its order, `cyclic_masks` and `element_orders`.
 
-The identity is always relabeled to index 0 on construction, so
-downstream code can rely on table[0][j] == j.  Groups are immutable.
+The identity is relabeled to index 0 on construction.  Groups are
+immutable.
 """
 
 from __future__ import annotations
@@ -10,14 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from math import gcd
 from operator import itemgetter
 
 from .errors import CayleyTableError, GroupSpecError
-from .numtheory import is_power_of, is_prime, prime_factorization
+from .numtheory import is_prime
 
 __all__ = [
     "FiniteGroup",
-    "CyclicSubgroup",
     "MAX_GROUP_ORDER",
     "cyclic_group",
     "dihedral_group",
@@ -28,9 +29,6 @@ __all__ = [
     "group_from_cayley_table",
     "load_cayley_file",
     "parse_group_spec",
-    "maximal_cyclic_subgroups",
-    "ccg_ground_truth",
-    "is_nilpotent",
 ]
 
 MAX_GROUP_ORDER = 2_000
@@ -51,54 +49,38 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+    @cached_property
+    def cyclic_masks(self) -> tuple[int, ...]:
+        """Bit y of cyclic_masks[x] is set iff y is a power of x.  Each
+        cyclic subgroup is walked once; its generators share its mask."""
+        table = self.table
+        masks = [0] * self.order
+        for g in range(self.order):
+            if masks[g]:
+                continue
+            powers = [0]  # powers[k] is g^k
+            x = g
+            while x != 0:
+                powers.append(x)
+                x = table[x][g]
+            o = len(powers)
+            mask = sum(1 << x for x in powers)
+            for k in range(o):
+                if gcd(k, o) == 1:
+                    masks[powers[k]] = mask
+        return tuple(masks)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        orders = []
-        for g in range(self.order):
-            m, x = 1, g
-            while x != 0:
-                x = self.table[x][g]
-                m += 1
-            orders.append(m)
-        return tuple(orders)
-
-    def cyclic_subgroup(self, g: int) -> "CyclicSubgroup":
-        members = {0}
-        x = g
-        while x != 0:
-            members.add(x)
-            x = self.table[x][g]
-        return CyclicSubgroup(generator=g, members=frozenset(members))
-
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(n)
-            for b in range(a + 1, n)
-        )
-
-
-@dataclass(frozen=True)
-class CyclicSubgroup:
-    generator: int
-    members: frozenset[int]
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
+        return tuple(m.bit_count() for m in self.cyclic_masks)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    """Z_n with table[i][j] = (i + j) mod n."""
+    """Z_n with table[i][j] = (i + j) mod n, row i as row 0 rotated by i."""
     if n < 1:
         raise ValueError("group order must be positive")
-    return FiniteGroup(
-        tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    )
+    row = tuple(range(n))
+    return FiniteGroup(tuple(row[i:] + row[:i] for i in range(n)))
 
 
 def dihedral_group(k: int) -> FiniteGroup:
@@ -386,41 +368,3 @@ def _term(m: re.Match, pos: int):
         # table fits under, and p**k in full could take minutes
         return p ** min(k, 64), lambda: elementary_abelian_group(p, k)
     return 8, quaternion_group
-
-
-def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
-    """All maximal cyclic subgroups, one per member set, smallest-index
-    generator as representative.  For cyclic G this is G itself."""
-    subs: dict[frozenset[int], int] = {}
-    for g in range(G.order):
-        members = G.cyclic_subgroup(g).members
-        subs.setdefault(members, g)  # g ascends, so first hit is smallest
-    full = frozenset(range(G.order))
-    if full in subs:
-        return [CyclicSubgroup(generator=subs[full], members=full)]
-    member_sets = list(subs)
-    maximal = [
-        s for s in member_sets if not any(s < t for t in member_sets if t is not s)
-    ]
-    maximal.sort(key=lambda s: subs[s])
-    return [CyclicSubgroup(generator=subs[s], members=s) for s in maximal]
-
-
-def ccg_ground_truth(G: FiniteGroup) -> set[int]:
-    """One generator per covering cycle (smallest index); the reference
-    CCG-set the detection algorithms are checked against."""
-    return {sub.generator for sub in maximal_cyclic_subgroups(G)}
-
-
-def is_nilpotent(G: FiniteGroup) -> bool:
-    """True iff for every prime p | |G| the p-power-order elements are
-    closed under the product (all Sylow subgroups normal)."""
-    orders = G.element_orders
-    for p, _ in prime_factorization(G.order):
-        sylow = [g for g in range(G.order) if is_power_of(orders[g], p)]
-        members = set(sylow)
-        for a in sylow:
-            row = G.table[a]
-            if any(row[b] not in members for b in sylow):
-                return False
-    return True

@@ -3,8 +3,8 @@
 R1 contracts closed-twin classes, R2 strips self-loops and transitive
 arcs (leaving the covering relation of the divisibility order), R3
 forgets directions, and R4 summarizes R3 by its CCG vertices and their
-pairwise intersections.  Each stage is exposed on its own so the
-reconstruction pipeline and the tests can triangulate intermediates.
+pairwise intersections; reconstruction builds R4 from a marked graph,
+so the forward R4 step lives with the tests.
 """
 
 from __future__ import annotations
@@ -23,17 +23,11 @@ from .numtheory import divisors, euler_phi, is_prime
 __all__ = [
     "R1Reduction",
     "R4Graph",
-    "R2Report",
     "reduce_r1",
     "reduce_r2",
     "reduce_r3",
-    "reduce_r4",
-    "descendants",
-    "reachability",
     "reach_masks",
-    "ccg_vertices_in_r3",
     "hasse_divisor_graph",
-    "verify_r2_structure",
 ]
 
 
@@ -64,9 +58,6 @@ class R4Graph:
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.intersection_colors)
 
-    def intersection_color(self, i: int, j: int) -> int:
-        return self.intersection_colors[(min(i, j), max(i, j))]
-
     def to_colored_graph(self) -> ColoredGraph:
         """Materialize as a colored bipartite graph: A-side vertices
         0..m-1, then one B-side vertex per pair in pair order."""
@@ -78,20 +69,6 @@ class R4Graph:
             masks[i] |= 1 << b
             masks[j] |= 1 << b
         return ColoredGraph._from_masks(len(colors), colors, masks)
-
-
-@dataclass(frozen=True)
-class R2Report:
-    """Outcome of the structural audit of an R2 candidate."""
-
-    acyclic: bool
-    prime_color_ratios: bool
-    sources_are_color_maximal: bool
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def reduce_r1(X: ColoredDiGraph) -> R1Reduction:
@@ -143,59 +120,6 @@ def reduce_r3(X: ColoredDiGraph) -> ColoredGraph:
     return X.undirected_shadow()
 
 
-def descendants(X: ColoredGraph, v: int) -> set[int]:
-    """Vertices reachable from v along strictly color-decreasing paths,
-    including v itself."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in X.neighbors(u):
-            if w not in seen and X.colors[w] < X.colors[u]:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def ccg_vertices_in_r3(X: ColoredGraph) -> list[int]:
-    """CCG vertices of an R3 graph: exactly those whose neighbors all
-    carry smaller colors.  Sorted ascending by (color, index)."""
-    ccg = [
-        v
-        for v in range(X.n)
-        if all(X.colors[w] < X.colors[v] for w in X.neighbors(v))
-    ]
-    ccg.sort(key=lambda v: (X.colors[v], v))
-    return ccg
-
-
-def reduce_r4(X: ColoredGraph) -> R4Graph:
-    """Summarize an R3 graph by its CCG vertices and, per pair, the
-    maximum color among their common descendant-reachable vertices."""
-    ccg = ccg_vertices_in_r3(X)
-    des = {g: descendants(X, g) for g in ccg}
-    inter: dict[tuple[int, int], int] = {}
-    for i in range(len(ccg)):
-        for j in range(i + 1, len(ccg)):
-            common = des[ccg[i]] & des[ccg[j]]
-            if not common:
-                raise PipelineError(
-                    f"CCG vertices {ccg[i]} and {ccg[j]} share no descendant"
-                )
-            best = max(X.colors[v] for v in common)
-            if sum(1 for v in common if X.colors[v] == best) > 1:
-                raise PipelineError(
-                    "two common descendants of maximum color "
-                    f"{best} for CCG pair ({ccg[i]}, {ccg[j]})"
-                )
-            inter[(i, j)] = best
-    return R4Graph(
-        ccg_colors=tuple(X.colors[g] for g in ccg),
-        intersection_colors=inter,
-        ccg_vertices=tuple(ccg),
-    )
-
-
 def hasse_divisor_graph(n: int) -> ColoredGraph:
     """Hasse diagram of the divisors of n: one vertex per divisor (its
     color), edges between divisors at prime ratio."""
@@ -207,44 +131,6 @@ def hasse_divisor_graph(n: int) -> ColoredGraph:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return ColoredGraph._from_masks(len(divs), tuple(divs), masks)
-
-
-def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
-    """Audit the three structural properties every genuine R2 graph has:
-    acyclicity, prime color ratio on every arc, and in-degree-0 vertices
-    being exactly the color-maximal ones among their ancestors."""
-    violations = []
-
-    prime_ok = True
-    arcs = [(u, v) for u, m in enumerate(X.out_masks) for v in bits(m)]
-    for u, v in arcs:
-        cu, cv = X.colors[u], X.colors[v]
-        if cv == 0 or cu % cv != 0 or not is_prime(cu // cv):
-            prime_ok = False
-            violations.append(
-                f"arc ({u}, {v}) has color ratio {cu}/{cv}, not a prime"
-            )
-
-    reach = reachability(X)
-    acyclic = not any(u in reach[v] for u, v in arcs)
-    if not acyclic:
-        violations.append("graph contains a directed cycle")
-
-    sources_ok = True
-    if acyclic:
-        for v in range(X.n):
-            dominated = any(v in reach[w] for w in range(X.n) if w != v)
-            if (X.in_degree(v) == 0) == dominated:
-                sources_ok = False
-                violations.append(
-                    f"vertex {v}: in-degree-0 status inconsistent with reachability"
-                )
-    return R2Report(acyclic, prime_ok, sources_ok, tuple(violations))
-
-
-def reachability(X: ColoredDiGraph) -> list[set[int]]:
-    """reach[v] is the set of vertices reachable from v, v included."""
-    return [set(bits(m)) for m in reach_masks(X)]
 
 
 def reach_masks(X: ColoredDiGraph) -> list[int]:

@@ -24,8 +24,10 @@ from pgk.graph_core import (
     ColoredDiGraph,
     ColoredGraph,
     TwinPartition,
+    bits,
     brute_force_color_iso,
     closed_twin_partition_undirected,
+    format_graph,
     induced_subgraph,
     relabel,
 )
@@ -38,8 +40,15 @@ from pgk.group_core import (
     heisenberg_group,
     quaternion_group,
 )
-from pgk.numtheory import euler_phi, is_prime_power
+from pgk.numtheory import (
+    euler_phi,
+    is_power_of,
+    is_prime,
+    is_prime_power,
+    prime_factorization,
+)
 from pgk.powergraph_build import power_graph
+from pgk.reductions import R4Graph, reach_masks
 
 
 def phi_table(limit: int) -> list[int]:
@@ -52,6 +61,219 @@ def phi_table(limit: int) -> list[int]:
             for k in range(p, limit + 1, p):
                 phi[k] -= phi[k] // p
     return phi
+
+
+# --- test-only group structure ---------------------------------------------
+#
+# Cyclic subgroups, maximal cyclic subgroups and the CCG ground truth,
+# read off the Cayley table by their own power walk, so that they stay
+# oracles independent of FiniteGroup.cyclic_masks, which they check.
+
+
+@dataclass(frozen=True)
+class CyclicSubgroup:
+    generator: int
+    members: frozenset[int]
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+
+def reference_element_orders(G: FiniteGroup) -> tuple[int, ...]:
+    """Element orders by walking the powers of every element."""
+    orders = []
+    for g in range(G.order):
+        m, x = 1, g
+        while x != 0:
+            x = G.table[x][g]
+            m += 1
+        orders.append(m)
+    return tuple(orders)
+
+
+def cyclic_subgroup(G: FiniteGroup, g: int) -> CyclicSubgroup:
+    members = {0}
+    x = g
+    while x != 0:
+        members.add(x)
+        x = G.table[x][g]
+    return CyclicSubgroup(generator=g, members=frozenset(members))
+
+
+def is_abelian(G: FiniteGroup) -> bool:
+    n = G.order
+    return all(
+        G.table[a][b] == G.table[b][a]
+        for a in range(n)
+        for b in range(a + 1, n)
+    )
+
+
+def maximal_cyclic_subgroups(G: FiniteGroup) -> list[CyclicSubgroup]:
+    """All maximal cyclic subgroups, one per member set, smallest-index
+    generator as representative.  For cyclic G this is G itself."""
+    subs: dict[frozenset[int], int] = {}
+    for g in range(G.order):
+        members = cyclic_subgroup(G, g).members
+        subs.setdefault(members, g)  # g ascends, so first hit is smallest
+    full = frozenset(range(G.order))
+    if full in subs:
+        return [CyclicSubgroup(generator=subs[full], members=full)]
+    member_sets = list(subs)
+    maximal = [
+        s for s in member_sets if not any(s < t for t in member_sets if t is not s)
+    ]
+    maximal.sort(key=lambda s: subs[s])
+    return [CyclicSubgroup(generator=subs[s], members=s) for s in maximal]
+
+
+def ccg_ground_truth(G: FiniteGroup) -> set[int]:
+    """One generator per covering cycle (smallest index); the reference
+    CCG-set the detection algorithms are checked against."""
+    return {sub.generator for sub in maximal_cyclic_subgroups(G)}
+
+
+def is_nilpotent(G: FiniteGroup) -> bool:
+    """True iff for every prime p | |G| the p-power-order elements are
+    closed under the product (all Sylow subgroups normal)."""
+    orders = G.element_orders
+    for p, _ in prime_factorization(G.order):
+        sylow = [g for g in range(G.order) if is_power_of(orders[g], p)]
+        members = set(sylow)
+        for a in sylow:
+            row = G.table[a]
+            if any(row[b] not in members for b in sylow):
+                return False
+    return True
+
+
+# --- test-only graph accessors and forward reductions ----------------------
+#
+# Proof machinery: the forward R4 step from an R3 graph, the R2 audit and
+# small accessors that only tests read.
+
+
+def save_graph(X, path, with_colors: bool = True) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_graph(X, with_colors=with_colors))
+
+
+def closed_out_neighborhood(X: ColoredDiGraph, v: int) -> frozenset[int]:
+    return frozenset(bits(X.out_masks[v] | 1 << v))
+
+
+def class_of(partition: TwinPartition) -> dict[int, tuple[int, ...]]:
+    return {v: cls for cls in partition.classes for v in cls}
+
+
+def intersection_color(X: R4Graph, i: int, j: int) -> int:
+    return X.intersection_colors[(min(i, j), max(i, j))]
+
+
+def descendants(X: ColoredGraph, v: int) -> set[int]:
+    """Vertices reachable from v along strictly color-decreasing paths,
+    including v itself."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in X.neighbors(u):
+            if w not in seen and X.colors[w] < X.colors[u]:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def ccg_vertices_in_r3(X: ColoredGraph) -> list[int]:
+    """CCG vertices of an R3 graph: exactly those whose neighbors all
+    carry smaller colors.  Sorted ascending by (color, index)."""
+    ccg = [
+        v
+        for v in range(X.n)
+        if all(X.colors[w] < X.colors[v] for w in X.neighbors(v))
+    ]
+    ccg.sort(key=lambda v: (X.colors[v], v))
+    return ccg
+
+
+def reduce_r4(X: ColoredGraph) -> R4Graph:
+    """Summarize an R3 graph by its CCG vertices and, per pair, the
+    maximum color among their common descendant-reachable vertices."""
+    ccg = ccg_vertices_in_r3(X)
+    des = {g: descendants(X, g) for g in ccg}
+    inter: dict[tuple[int, int], int] = {}
+    for i in range(len(ccg)):
+        for j in range(i + 1, len(ccg)):
+            common = des[ccg[i]] & des[ccg[j]]
+            if not common:
+                raise PipelineError(
+                    f"CCG vertices {ccg[i]} and {ccg[j]} share no descendant"
+                )
+            best = max(X.colors[v] for v in common)
+            if sum(1 for v in common if X.colors[v] == best) > 1:
+                raise PipelineError(
+                    "two common descendants of maximum color "
+                    f"{best} for CCG pair ({ccg[i]}, {ccg[j]})"
+                )
+            inter[(i, j)] = best
+    return R4Graph(
+        ccg_colors=tuple(X.colors[g] for g in ccg),
+        intersection_colors=inter,
+        ccg_vertices=tuple(ccg),
+    )
+
+
+@dataclass(frozen=True)
+class R2Report:
+    """Outcome of the structural audit of an R2 candidate."""
+
+    acyclic: bool
+    prime_color_ratios: bool
+    sources_are_color_maximal: bool
+    violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
+    """Audit the three structural properties every genuine R2 graph has:
+    acyclicity, prime color ratio on every arc, and in-degree-0 vertices
+    being exactly the color-maximal ones among their ancestors."""
+    violations = []
+
+    prime_ok = True
+    arcs = [(u, v) for u, m in enumerate(X.out_masks) for v in bits(m)]
+    for u, v in arcs:
+        cu, cv = X.colors[u], X.colors[v]
+        if cv == 0 or cu % cv != 0 or not is_prime(cu // cv):
+            prime_ok = False
+            violations.append(
+                f"arc ({u}, {v}) has color ratio {cu}/{cv}, not a prime"
+            )
+
+    reach = reachability(X)
+    acyclic = not any(u in reach[v] for u, v in arcs)
+    if not acyclic:
+        violations.append("graph contains a directed cycle")
+
+    sources_ok = True
+    if acyclic:
+        for v in range(X.n):
+            dominated = any(v in reach[w] for w in range(X.n) if w != v)
+            if (X.in_degree(v) == 0) == dominated:
+                sources_ok = False
+                violations.append(
+                    f"vertex {v}: in-degree-0 status inconsistent with reachability"
+                )
+    return R2Report(acyclic, prime_ok, sources_ok, tuple(violations))
+
+
+def reachability(X: ColoredDiGraph) -> list[set[int]]:
+    """reach[v] is the set of vertices reachable from v, v included."""
+    return [set(bits(m)) for m in reach_masks(X)]
 
 
 @dataclass(frozen=True)
@@ -132,8 +354,8 @@ def color_iso(X, Y, cap: int = 30) -> bool:
 
 def subgroup_generators(G: FiniteGroup, g: int) -> set[int]:
     """All u with <u> = <g>."""
-    target = G.cyclic_subgroup(g).members
-    return {u for u in target if G.cyclic_subgroup(u).members == target}
+    target = cyclic_subgroup(G, g).members
+    return {u for u in target if cyclic_subgroup(G, u).members == target}
 
 
 def gamma_v(Gamma: ColoredGraph, v: int):
@@ -147,7 +369,6 @@ def check_twin_structure(G: FiniteGroup) -> list[str]:
     sizes, the at-most-two-large-classes bound, and the exact twin-class
     identification for non-generator members of <v>.  Returns a list of
     violation descriptions (empty = all good)."""
-    from pgk.group_core import ccg_ground_truth
     from pgk.numtheory import divisors
 
     problems = []
@@ -162,7 +383,7 @@ def check_twin_structure(G: FiniteGroup) -> list[str]:
         local = {orig: loc for loc, orig in enumerate(mapping)}
 
         # dominating class = twin class of v, size phi(o(v)) + 1
-        v_class = partition.class_of[local[v]]
+        v_class = class_of(partition)[local[v]]
         if len(v_class) != euler_phi(ov) + 1:
             problems.append(f"o(v)={ov}: twin class of v has size {len(v_class)}")
 
@@ -182,10 +403,10 @@ def check_twin_structure(G: FiniteGroup) -> list[str]:
 
         # twin class of a non-generator u in <v> is exactly gen(<u>)
         gens_v = subgroup_generators(G, v)
-        for u in G.cyclic_subgroup(v).members:
+        for u in cyclic_subgroup(G, v).members:
             if u == 0 or u in gens_v:
                 continue
-            u_class = {mapping[w] for w in partition.class_of[local[u]]}
+            u_class = {mapping[w] for w in class_of(partition)[local[u]]}
             if u_class != subgroup_generators(G, u):
                 problems.append(f"o(v)={ov}: twin class of u={u} is not gen(<u>)")
     return problems
@@ -195,8 +416,6 @@ def check_prime_power_gamma_v(G: FiniteGroup) -> list[str]:
     """For every nontrivial p-power element v that is not a CC-generator
     and satisfies the degree hypothesis, with a maximum-order twin y of
     order p^j, j >= 2: p must divide |V(Gamma_v)|."""
-    from pgk.group_core import maximal_cyclic_subgroups
-
     problems = []
     Gamma = power_graph(G)
     orders = G.element_orders
@@ -213,7 +432,7 @@ def check_prime_power_gamma_v(G: FiniteGroup) -> list[str]:
         sub, mapping = gamma_v(Gamma, v)
         partition = closed_twin_partition_undirected(sub)
         local = {orig: loc for loc, orig in enumerate(mapping)}
-        twins = [mapping[w] for w in partition.class_of[local[v]]]
+        twins = [mapping[w] for w in class_of(partition)[local[v]]]
         npart = NeighborhoodPartition.from_orders(Gamma, orders, v)
         upper_twins = [u for u in twins if u in npart.higher]
         if any(Gamma.degree(u) > Gamma.degree(v) for u in upper_twins):
@@ -338,7 +557,7 @@ def reference_mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
             labels[v] = NC  # Rule 1b
         elif any(
             mapping[w] not in (v, identity) and labels[mapping[w]] == NC
-            for w in reference_twin_partition(sub).class_of[mapping.index(v)]
+            for w in class_of(reference_twin_partition(sub))[mapping.index(v)]
         ):
             labels[v] = NC  # Rule 2a
         elif reference_twin_profile(sub) == reference_cyclic_profile(d):
@@ -578,23 +797,21 @@ def reference_relabel(X, perm):
 
 
 def reference_directed_power_graph(G: FiniteGroup) -> ColoredDiGraph:
-    arcs = {(x, y) for x in range(G.order) for y in G.cyclic_subgroup(x).members}
-    return ColoredDiGraph(G.order, G.element_orders, frozenset(arcs))
+    arcs = {(x, y) for x in range(G.order) for y in cyclic_subgroup(G, x).members}
+    return ColoredDiGraph(G.order, reference_element_orders(G), frozenset(arcs))
 
 
 def reference_power_graph(G: FiniteGroup) -> ColoredGraph:
     edges = {
         (min(x, y), max(x, y))
         for x in range(G.order)
-        for y in G.cyclic_subgroup(x).members
+        for y in cyclic_subgroup(G, x).members
         if y != x
     }
     return ColoredGraph(G.order, (1,) * G.order, frozenset(edges))
 
 
 def reference_enhanced_power_graph(G: FiniteGroup) -> ColoredGraph:
-    from pgk.group_core import maximal_cyclic_subgroups
-
     edges = set()
     for sub in maximal_cyclic_subgroups(G):
         members = sorted(sub.members)

@@ -15,21 +15,18 @@ from pgk.ccg_detection import (
 )
 from pgk.errors import PipelineError
 from pgk.graph_core import ColoredGraph, closed_twin_partition_undirected
-from pgk.group_core import (
-    ccg_ground_truth,
-    cyclic_group,
-    direct_product,
-    maximal_cyclic_subgroups,
-    parse_group_spec,
-)
+from pgk.group_core import cyclic_group, direct_product, parse_group_spec
 from pgk.powergraph_build import enhanced_power_graph, power_graph
 
 from helpers import (
     NeighborhoodPartition,
+    ccg_ground_truth,
     check_prime_power_gamma_v,
     check_twin_structure,
+    class_of,
     gamma_v,
     make_rng,
+    maximal_cyclic_subgroups,
     random_relabel,
     reference_mark_ccg_power,
     reference_twin_profile,
@@ -207,7 +204,7 @@ class TestDetectionSoundness:
             partition = closed_twin_partition_undirected(Gamma)
             truth = ccg_ground_truth(G)
             for v in cc:
-                assert any(u in truth for u in partition.class_of[v]), (name, v)
+                assert any(u in truth for u in class_of(partition)[v]), (name, v)
 
 
 class TestNeighborhoodPartition:

@@ -4,7 +4,7 @@ import pytest
 
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.cli import main
-from pgk.graph_core import format_graph, load_graph, save_graph
+from pgk.graph_core import format_graph, load_graph
 from pgk.group_core import cyclic_group, direct_product
 from pgk.powergraph_build import (
     directed_power_graph,
@@ -19,7 +19,7 @@ from pgk.reconstruction import (
     r4_from_marked_graph,
 )
 
-from helpers import s3_cayley_text
+from helpers import s3_cayley_text, save_graph
 
 
 def run(*argv):
@@ -125,6 +125,8 @@ class TestDetect:
             "graph 2\nnocolors\n0 1 2",
             "digraph 2\ncolors 1 a\n",
             "digraph 2\nnocolors\n2 0",
+            "graph 20000\nnocolors\n",
+            f"digraph {10**12}\nnocolors\n",
         ],
     )
     def test_malformed_graph_text_exit_2(self, tmp_path, text):

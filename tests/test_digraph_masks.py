@@ -13,11 +13,13 @@ from pgk.graph_core import (
 )
 from pgk.powergraph_build import directed_power_graph
 from pgk.reconstruction import epow_from_dpow
-from pgk.reductions import reachability, reduce_r1, reduce_r2, verify_r2_structure
+from pgk.reductions import reduce_r1, reduce_r2
 
 from helpers import (
+    closed_out_neighborhood,
     make_rng,
     random_relabel,
+    reachability,
     reference_epow_from_dpow,
     reference_induced_subgraph,
     reference_out_in,
@@ -25,6 +27,7 @@ from helpers import (
     reference_reduce_r2,
     reference_twin_partition_directed,
     small_digraphs,
+    verify_r2_structure,
 )
 
 
@@ -42,7 +45,7 @@ def is_acyclic(D: ColoredDiGraph) -> bool:
 def assert_matches_references(D: ColoredDiGraph, subset) -> None:
     out, inn = reference_out_in(D)
     for v in range(D.n):
-        assert D.closed_out_neighborhood(v) == out[v] | {v}
+        assert closed_out_neighborhood(D, v) == out[v] | {v}
         assert (D.out_degree(v), D.in_degree(v)) == (len(out[v]), len(inn[v]))
     assert closed_twin_partition_directed(D) == reference_twin_partition_directed(D)
     assert reduce_r2(D) == reference_reduce_r2(D)

@@ -13,11 +13,11 @@ from pgk.graph_core import (
     induced_subgraph,
     parse_graph,
     relabel,
-    save_graph,
     strong_product,
 )
 from pgk.graph_core import load_graph
 from pgk.group_core import (
+    MAX_GROUP_ORDER,
     cyclic_group,
     direct_product,
     elementary_abelian_group,
@@ -25,7 +25,7 @@ from pgk.group_core import (
 )
 from pgk.powergraph_build import directed_power_graph, power_graph
 
-from helpers import make_rng, random_relabel
+from helpers import make_rng, random_relabel, save_graph
 
 
 def complete_graph(n):
@@ -261,6 +261,19 @@ class TestSerialization:
     def test_rejects_malformed(self, text):
         with pytest.raises(GraphFormatError):
             parse_graph(text)
+
+    @pytest.mark.parametrize("head", ["graph", "digraph"])
+    @pytest.mark.parametrize("n", [MAX_GROUP_ORDER + 1, 20000, 10**12])
+    def test_vertex_count_over_cap_refused(self, monkeypatch, head, n):
+        # refused before any mask is built: the mask constructor is gone
+        monkeypatch.setattr(ColoredGraph, "_from_masks", None)
+        monkeypatch.setattr(ColoredDiGraph, "_from_masks", None)
+        with pytest.raises(GraphFormatError, match="exceeds maximum"):
+            parse_graph(f"{head} {n}\nnocolors\n")
+
+    def test_vertex_count_at_cap_accepted(self):
+        X = parse_graph(f"graph {MAX_GROUP_ORDER}\nnocolors\n")
+        assert X.n == MAX_GROUP_ORDER
 
     def test_self_loop_allowed_in_digraph(self):
         D = parse_graph("digraph 1\nnocolors\n0 0\n")

@@ -9,25 +9,29 @@ from hypothesis import strategies as st
 
 from pgk import group_core
 from pgk.errors import CayleyTableError, GroupSpecError
+from pgk.graph_core import bits
 from pgk.group_core import (
     MAX_GROUP_ORDER,
-    ccg_ground_truth,
     cyclic_group,
     dihedral_group,
     direct_product,
     elementary_abelian_group,
     group_from_cayley_table,
     heisenberg_group,
-    is_nilpotent,
     load_cayley_file,
-    maximal_cyclic_subgroups,
     parse_group_spec,
     quaternion_group,
 )
 from pgk.numtheory import divisors, euler_phi
 
 from helpers import (
+    ccg_ground_truth,
+    cyclic_subgroup,
+    is_abelian,
+    is_nilpotent,
+    maximal_cyclic_subgroups,
     normalized_loops,
+    reference_element_orders,
     reference_is_associative,
     relabel_table,
     subgroup_generators,
@@ -59,7 +63,7 @@ class TestConstructors:
     def test_heisenberg_exponent_three(self):
         G = heisenberg_group(3)
         assert G.order == 27
-        assert not G.is_abelian()
+        assert not is_abelian(G)
         assert Counter(G.element_orders) == {1: 1, 3: 26}
 
     def test_heisenberg_rejects_composite(self):
@@ -69,8 +73,43 @@ class TestConstructors:
     def test_elementary_abelian(self):
         G = elementary_abelian_group(3, 3)
         assert G.order == 27
-        assert G.is_abelian()
+        assert is_abelian(G)
         assert Counter(G.element_orders) == {1: 1, 3: 26}
+
+
+class TestCyclicTable:
+    @pytest.mark.parametrize("n", [*range(1, 65), 1000])
+    def test_rotations_match_sum_formula(self, n):
+        expected = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        assert cyclic_group(n).table == expected
+
+
+class TestCyclicMasks:
+    """FiniteGroup.cyclic_masks and element_orders against the test-only
+    power walks, on the catalog and on relabelled copies of its tables
+    whose identity is not element 0."""
+
+    @staticmethod
+    def groups(catalog, p_groups):
+        rng = random.Random(3)
+        for name, G in catalog + p_groups:
+            yield name, G
+            if G.order > 1:
+                perm = list(range(G.order))
+                rng.shuffle(perm)
+                if perm[0] == 0:
+                    perm[0], perm[1] = perm[1], perm[0]
+                relabelled = relabel_table(G.table, perm)
+                yield f"{name} relabelled", group_from_cayley_table(relabelled)
+
+    def test_element_orders_match_reference(self, catalog, p_groups):
+        for name, G in self.groups(catalog, p_groups):
+            assert G.element_orders == reference_element_orders(G), name
+
+    def test_masks_match_reference_subgroups(self, catalog, p_groups):
+        for name, G in self.groups(catalog, p_groups):
+            for x, mask in enumerate(G.cyclic_masks):
+                assert bits(mask) == sorted(cyclic_subgroup(G, x).members), (name, x)
 
 
 class TestDirectProduct:
@@ -257,7 +296,7 @@ class TestCayleyFile:
     def test_loads_s3(self, s3):
         assert s3.order == 6
         assert Counter(s3.element_orders) == {1: 1, 2: 3, 3: 2}
-        assert not s3.is_abelian()
+        assert not is_abelian(s3)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -421,7 +460,7 @@ class TestCyclicStructure:
             G = cyclic_group(n)
             by_order = {}
             for g in range(n):
-                sub = G.cyclic_subgroup(g)
+                sub = cyclic_subgroup(G, g)
                 by_order.setdefault(sub.order, set()).add(sub.members)
             assert sorted(by_order) == divisors(n)
             assert all(len(v) == 1 for v in by_order.values())

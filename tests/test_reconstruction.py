@@ -33,15 +33,20 @@ from pgk.reconstruction import (
 )
 from pgk.reductions import (
     R4Graph,
-    descendants,
     hasse_divisor_graph,
     reduce_r1,
     reduce_r2,
     reduce_r3,
-    reduce_r4,
 )
 
-from helpers import color_iso, make_rng, random_relabel, small_graphs
+from helpers import (
+    color_iso,
+    descendants,
+    make_rng,
+    random_relabel,
+    reduce_r4,
+    small_graphs,
+)
 
 
 def klein_four():
