@@ -28,7 +28,6 @@ __all__ = [
     "UNLABELED",
     "CcgMarking",
     "TwinProfile",
-    "twin_profile",
     "mark_ccg_power",
     "mark_ccg_enhanced",
 ]
@@ -50,13 +49,6 @@ class CcgMarking:
     def cc_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, lab in enumerate(self.labels) if lab == CC)
 
-    @property
-    def identity_vertex(self) -> int | None:
-        for v, lab in enumerate(self.labels):
-            if lab == IDENTITY:
-                return v
-        return None
-
 
 @dataclass(frozen=True)
 class TwinProfile:
@@ -76,10 +68,6 @@ def _masked_profile(colors, masks, S: int) -> TwinProfile:
     classes = Counter((colors[u], masks[u] & S) for u in bits(S))
     dominating = next((k for (_, nb), k in classes.items() if nb == S), 0)
     return TwinProfile(tuple(sorted(classes.values())), dominating)
-
-
-def twin_profile(X: ColoredGraph) -> TwinProfile:
-    return _masked_profile(X.colors, X.masks, (1 << X.n) - 1)
 
 
 @lru_cache(maxsize=None)

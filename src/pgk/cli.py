@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="round-trip consistency check")
     p.add_argument("input")
     p.add_argument("--kind", required=True, choices=["pow", "epow"])
-    p.add_argument("--cap", type=int, default=30)
+    p.add_argument("--cap", type=int, default=graph_core.ISO_CAP_DEFAULT)
     return parser
 
 

@@ -91,9 +91,6 @@ class ColoredGraph(_MaskGraph):
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(bits(self.masks[v] ^ (1 << v)))
 
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.masks[v]))
-
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count() - 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 
@@ -83,6 +84,22 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(tuple(row[i:] + row[:i] for i in range(n)))
 
 
+def _generated(n: int, generator_rows) -> FiniteGroup:
+    """The group of order n >= 2 generated by the given rows, row g being
+    x -> gx.  The row of xg is row x composed with row g, and its entry at
+    column 0 is xg; every row holds the int objects of the identity row."""
+    rows = [None] * n
+    rows[0] = tuple(range(n))
+    found = [0]
+    for x in found:
+        for row_g in generator_rows:
+            xg = rows[x][row_g[0]]
+            if rows[xg] is None:
+                rows[xg] = itemgetter(*row_g)(rows[x])
+                found.append(xg)
+    return FiniteGroup(tuple(rows))
+
+
 def dihedral_group(k: int) -> FiniteGroup:
     """Dihedral group of order 2k (k rotations, k reflections).
 
@@ -90,55 +107,26 @@ def dihedral_group(k: int) -> FiniteGroup:
     """
     if k < 1:
         raise ValueError("dihedral parameter must be positive")
-    n = 2 * k
-
-    def mul(a, b):
-        i1, f1 = a % k, a // k
-        i2, f2 = b % k, b // k
-        i = (i1 + i2) % k if f1 == 0 else (i1 - i2) % k
-        return (f1 ^ f2) * k + i
-
-    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(n)) for a in range(n)))
-
-
-_Q8_UNIT_MUL = {
-    # (u1, u2) -> (sign, unit) for units 0=1, 1=i, 2=j, 3=k
-    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-}
+    r = tuple(f * k + (i + 1) % k for f in (0, 1) for i in range(k))
+    s = tuple((1 - f) * k + -i % k for f in (0, 1) for i in range(k))
+    return _generated(2 * k, (r, s))
 
 
 def quaternion_group() -> FiniteGroup:
-    """Q8 = {±1, ±i, ±j, ±k}; element 2u + s is (-1)^s times unit u."""
-
-    def mul(a, b):
-        u1, s1 = a // 2, a % 2
-        u2, s2 = b // 2, b % 2
-        sign, unit = _Q8_UNIT_MUL[(u1, u2)]
-        s = (s1 + s2 + (sign < 0)) % 2
-        return unit * 2 + s
-
-    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(8)) for a in range(8)))
+    """Q8 = {±1, ±i, ±j, ±k}; element 2u + s is (-1)^s times unit u
+    (units 0=1, 1=i, 2=j, 3=k)."""
+    return _generated(8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)))
 
 
 def heisenberg_group(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over F_p; order p^3, exponent p
-    for odd p."""
+    for odd p.  Element a*p^2 + b*p + c is [[1, a, c], [0, 1, b], [0, 0, 1]]."""
     if p < 2 or not is_prime(p):
         raise GroupSpecError(f"Heisenberg parameter must be prime, got {p}")
-    n = p * p * p
-
-    def unpack(x):
-        return x // (p * p), (x // p) % p, x % p
-
-    def mul(x, y):
-        a1, b1, c1 = unpack(x)
-        a2, b2, c2 = unpack(y)
-        return ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
-
-    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(n)) for a in range(n)))
+    abc = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    x = tuple((a + 1) % p * p * p + b * p + (c + b) % p for a, b, c in abc)
+    y = tuple(a * p * p + (b + 1) % p * p + c for a, b, c in abc)
+    return _generated(p**3, (x, y))
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
@@ -156,20 +144,21 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
 def direct_product(
     G: FiniteGroup, H: FiniteGroup, max_order: int = MAX_GROUP_ORDER
 ) -> FiniteGroup:
-    """Direct product with row-major element indexing (g, h) -> g*|H| + h."""
+    """Direct product with row-major element indexing (g, h) -> g*|H| + h.
+    Row (g, h) is G's row g with each entry x replaced by H's row h
+    shifted into block x; each block's ints are made once and shared."""
     n, m = G.order, H.order
     if n * m > max_order:
         raise GroupSpecError(
             f"product order {n * m} exceeds the configured maximum {max_order}"
         )
-    table = tuple(
-        tuple(
-            G.table[a // m][b // m] * m + H.table[a % m][b % m]
-            for b in range(n * m)
-        )
-        for a in range(n * m)
-    )
-    return FiniteGroup(table)
+    blocks = [tuple(range(x * m, x * m + m)) for x in range(n)]
+    table = [None] * (n * m)
+    for h, row_h in enumerate(H.table):
+        shifted = [tuple(map(block.__getitem__, row_h)) for block in blocks]
+        for g, row_g in enumerate(G.table):
+            table[g * m + h] = tuple(chain.from_iterable(map(shifted.__getitem__, row_g)))
+    return FiniteGroup(tuple(table))
 
 
 def _greedy_generators(table, columns, identity) -> list[int]:

@@ -207,7 +207,9 @@ def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGr
     Gamma, else raise PipelineError: equal vertex counts and, for kind
     "pow", equal edge counts and degree multisets of Gamma and D's
     undirected shadow; for kind "epow", the same degree multiset in D's
-    enhanced power graph as in Gamma."""
+    enhanced power graph as in Gamma.  Any other kind is a ValueError."""
+    if kind not in ("pow", "epow"):
+        raise ValueError(f"unknown kind {kind!r}")
     if D.n != Gamma.n:
         raise PipelineError(
             f"reconstruction has {D.n} vertices, the input has {Gamma.n}"
@@ -221,10 +223,8 @@ def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGr
                 f"reconstruction's shadow has {edges} edges, "
                 f"the input has {input_edges}"
             )
-    elif kind == "epow":
-        graph, got = "enhanced power graph", _degrees(_epow_masks(D))
     else:
-        return D
+        graph, got = "enhanced power graph", _degrees(_epow_masks(D))
     if got != want:
         d = min(k for k in got | want if got[k] != want[k])
         raise PipelineError(

@@ -18,8 +18,9 @@ from pgk.ccg_detection import (
     UNLABELED,
     CcgMarking,
     TwinProfile,
+    _masked_profile,
 )
-from pgk.errors import GraphFormatError, PipelineError
+from pgk.errors import GraphFormatError, GroupSpecError, PipelineError
 from pgk.graph_core import (
     ColoredDiGraph,
     ColoredGraph,
@@ -32,6 +33,7 @@ from pgk.graph_core import (
     relabel,
 )
 from pgk.group_core import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     cyclic_group,
     dihedral_group,
@@ -148,6 +150,89 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     return True
 
 
+# --- reference group builders ----------------------------------------------
+#
+# The per-entry product functions the spec groups were once built with,
+# kept verbatim as oracles for the row-composition builders in group_core.
+
+
+def reference_dihedral_group(k: int) -> FiniteGroup:
+    """Dihedral group of order 2k (k rotations, k reflections).
+
+    Element f*k + i stands for r^i s^f, so index 0 is the identity.
+    """
+    if k < 1:
+        raise ValueError("dihedral parameter must be positive")
+    n = 2 * k
+
+    def mul(a, b):
+        i1, f1 = a % k, a // k
+        i2, f2 = b % k, b // k
+        i = (i1 + i2) % k if f1 == 0 else (i1 - i2) % k
+        return (f1 ^ f2) * k + i
+
+    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(n)) for a in range(n)))
+
+
+_Q8_UNIT_MUL = {
+    # (u1, u2) -> (sign, unit) for units 0=1, 1=i, 2=j, 3=k
+    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+}
+
+
+def reference_quaternion_group() -> FiniteGroup:
+    """Q8 = {±1, ±i, ±j, ±k}; element 2u + s is (-1)^s times unit u."""
+
+    def mul(a, b):
+        u1, s1 = a // 2, a % 2
+        u2, s2 = b // 2, b % 2
+        sign, unit = _Q8_UNIT_MUL[(u1, u2)]
+        s = (s1 + s2 + (sign < 0)) % 2
+        return unit * 2 + s
+
+    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(8)) for a in range(8)))
+
+
+def reference_heisenberg_group(p: int) -> FiniteGroup:
+    """Upper unitriangular 3x3 matrices over F_p; order p^3, exponent p
+    for odd p."""
+    if p < 2 or not is_prime(p):
+        raise GroupSpecError(f"Heisenberg parameter must be prime, got {p}")
+    n = p * p * p
+
+    def unpack(x):
+        return x // (p * p), (x // p) % p, x % p
+
+    def mul(x, y):
+        a1, b1, c1 = unpack(x)
+        a2, b2, c2 = unpack(y)
+        return ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+
+    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(n)) for a in range(n)))
+
+
+def reference_direct_product(
+    G: FiniteGroup, H: FiniteGroup, max_order: int = MAX_GROUP_ORDER
+) -> FiniteGroup:
+    """Direct product with row-major element indexing (g, h) -> g*|H| + h."""
+    n, m = G.order, H.order
+    if n * m > max_order:
+        raise GroupSpecError(
+            f"product order {n * m} exceeds the configured maximum {max_order}"
+        )
+    table = tuple(
+        tuple(
+            G.table[a // m][b // m] * m + H.table[a % m][b % m]
+            for b in range(n * m)
+        )
+        for a in range(n * m)
+    )
+    return FiniteGroup(table)
+
+
 # --- test-only graph accessors and forward reductions ----------------------
 #
 # Proof machinery: the forward R4 step from an R3 graph, the R2 audit and
@@ -159,12 +244,27 @@ def save_graph(X, path, with_colors: bool = True) -> None:
         fh.write(format_graph(X, with_colors=with_colors))
 
 
+def closed_neighborhood(X: ColoredGraph, v: int) -> frozenset[int]:
+    return frozenset(bits(X.masks[v]))
+
+
 def closed_out_neighborhood(X: ColoredDiGraph, v: int) -> frozenset[int]:
     return frozenset(bits(X.out_masks[v] | 1 << v))
 
 
 def class_of(partition: TwinPartition) -> dict[int, tuple[int, ...]]:
     return {v: cls for cls in partition.classes for v in cls}
+
+
+def identity_vertex(marking: CcgMarking) -> int | None:
+    for v, lab in enumerate(marking.labels):
+        if lab == IDENTITY:
+            return v
+    return None
+
+
+def twin_profile(X: ColoredGraph) -> TwinProfile:
+    return _masked_profile(X.colors, X.masks, (1 << X.n) - 1)
 
 
 def intersection_color(X: R4Graph, i: int, j: int) -> int:
@@ -291,7 +391,7 @@ class NeighborhoodPartition:
     @classmethod
     def from_orders(cls, graph: ColoredGraph, orders, v: int):
         ov = orders[v]
-        closed = graph.closed_neighborhood(v)
+        closed = closed_neighborhood(graph, v)
         return cls(
             higher=frozenset(x for x in closed if orders[x] > ov),
             equal=frozenset(x for x in closed if orders[x] == ov),
@@ -360,7 +460,7 @@ def subgroup_generators(G: FiniteGroup, g: int) -> set[int]:
 
 def gamma_v(Gamma: ColoredGraph, v: int):
     """Induced subgraph on N[v], plus the mapping back to Gamma labels."""
-    return induced_subgraph(Gamma, Gamma.closed_neighborhood(v))
+    return induced_subgraph(Gamma, closed_neighborhood(Gamma, v))
 
 
 def check_twin_structure(G: FiniteGroup) -> list[str]:

@@ -11,7 +11,6 @@ from pgk.ccg_detection import (
     _cyclic_power_graph_profile,
     mark_ccg_enhanced,
     mark_ccg_power,
-    twin_profile,
 )
 from pgk.errors import PipelineError
 from pgk.graph_core import ColoredGraph, closed_twin_partition_undirected
@@ -24,13 +23,16 @@ from helpers import (
     check_prime_power_gamma_v,
     check_twin_structure,
     class_of,
+    closed_neighborhood,
     gamma_v,
+    identity_vertex,
     make_rng,
     maximal_cyclic_subgroups,
     random_relabel,
     reference_mark_ccg_power,
     reference_twin_profile,
     small_graphs,
+    twin_profile,
 )
 
 
@@ -124,7 +126,7 @@ class TestMarkCcgPower:
         marking = mark_ccg_power(power_graph(cyclic_group(8)))
         assert marking.labels == (CC,) + (NC,) * 7
         assert marking.cc_vertices == (0,)
-        assert marking.identity_vertex is None
+        assert identity_vertex(marking) is None
 
     def test_klein_four(self):
         G = direct_product(cyclic_group(2), cyclic_group(2))
@@ -136,14 +138,14 @@ class TestMarkCcgPower:
         marking = mark_ccg_power(power_graph(cyclic_group(6)))
         assert len(marking.cc_vertices) == 1
         assert marking.cc_vertices[0] in {1, 5}  # the generators of Z6
-        assert marking.identity_vertex == 0
+        assert identity_vertex(marking) == 0
 
     def test_processing_order_is_degree_descending(self):
         Gamma = power_graph(cyclic_group(12))
         marking = mark_ccg_power(Gamma)
         degrees = [Gamma.degree(v) for v in marking.processing_order]
         assert degrees == sorted(degrees, reverse=True)
-        assert marking.identity_vertex not in marking.processing_order
+        assert identity_vertex(marking) not in marking.processing_order
 
     def test_no_unlabeled_remains(self, catalog):
         for name, G in catalog:
@@ -214,7 +216,7 @@ class TestNeighborhoodPartition:
         for v in range(G.order):
             part = NeighborhoodPartition.from_orders(Gamma, G.element_orders, v)
             union = part.higher | part.equal | part.lower
-            assert union == Gamma.closed_neighborhood(v)
+            assert union == closed_neighborhood(Gamma, v)
             assert not (part.higher & part.equal)
             assert not (part.equal & part.lower)
             assert v in part.equal

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from pgk import graph_core
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.cli import main
 from pgk.graph_core import format_graph, load_graph
@@ -326,3 +327,10 @@ class TestVerify:
         path = tmp_path / "z12.graph"
         save_graph(power_graph(cyclic_group(12)), path, with_colors=False)
         assert run("verify", str(path), "--kind", "pow", "--cap", "5") == 5
+
+    def test_default_cap_is_the_oracle_default(self, tmp_path, monkeypatch):
+        path = tmp_path / "z12.graph"
+        save_graph(power_graph(cyclic_group(12)), path, with_colors=False)
+        assert run("verify", str(path), "--kind", "pow") == 0
+        monkeypatch.setattr(graph_core, "ISO_CAP_DEFAULT", 5)
+        assert run("verify", str(path), "--kind", "pow") == 5

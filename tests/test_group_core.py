@@ -31,8 +31,12 @@ from helpers import (
     is_nilpotent,
     maximal_cyclic_subgroups,
     normalized_loops,
+    reference_dihedral_group,
+    reference_direct_product,
     reference_element_orders,
+    reference_heisenberg_group,
     reference_is_associative,
+    reference_quaternion_group,
     relabel_table,
     subgroup_generators,
 )
@@ -82,6 +86,52 @@ class TestCyclicTable:
     def test_rotations_match_sum_formula(self, n):
         expected = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         assert cyclic_group(n).table == expected
+
+
+class TestGeneratedTables:
+    """Spec groups built from their generators' rows, and products built
+    from shifted factor rows, against the per-entry reference builders."""
+
+    PRODUCTS = [
+        "Z1xZ1", "Z1xQ8", "Q8xZ1", "D5xZ1xZ3", "Z8xZ250", "Z250xZ8", "Q8xZ250",
+        "D45xZ7", "D8xZ45", "Heis3xZ9", "Heis5xZ2", "Q8xQ8", "ElemAb(3,3)xZ20",
+        "Z2xD3xQ8",
+    ]
+
+    @pytest.mark.parametrize("k", [*range(1, 61), 250, 1000])
+    def test_dihedral(self, k):
+        assert dihedral_group(k).table == reference_dihedral_group(k).table
+
+    def test_quaternion(self):
+        assert quaternion_group().table == reference_quaternion_group().table
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_heisenberg(self, p):
+        assert heisenberg_group(p).table == reference_heisenberg_group(p).table
+
+    @pytest.mark.parametrize("spec", PRODUCTS)
+    def test_product(self, spec):
+        factors = [parse_group_spec(term) for term in spec.split("x")]
+        expected = factors[0]
+        for H in factors[1:]:
+            expected = reference_direct_product(expected, H)
+        assert parse_group_spec(spec).table == expected.table
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (2, 10), (3, 5), (5, 2)])
+    def test_elementary_abelian(self, p, k):
+        expected = cyclic_group(p)
+        for _ in range(k - 1):
+            expected = reference_direct_product(expected, cyclic_group(p))
+        assert elementary_abelian_group(p, k).table == expected.table
+
+    @pytest.mark.parametrize(
+        "spec", ["Z1000", "D250", "D1000", "Q8", "Heis11", "ElemAb(2,10)", *PRODUCTS]
+    )
+    def test_entries_share_order_many_ints(self, spec):
+        # a row-built table holds one int object per element, as a
+        # per-entry product would not for elements past the small-int cache
+        G = parse_group_spec(spec)
+        assert len({id(x) for row in G.table for x in row}) == G.order
 
 
 class TestCyclicMasks:

@@ -357,6 +357,13 @@ class TestCheckDpow:
         with pytest.raises(PipelineError):
             check_dpow(self.K2, D, "epow")
 
+    def test_rejects_unknown_kind(self):
+        # an edgeless D would pass unchecked if an unknown kind fell through
+        D = ColoredDiGraph(2, (1, 1), frozenset({(0, 0), (1, 1)}))
+        for kind in ("Pow", "dpow", "cdpow", ""):
+            with pytest.raises(ValueError, match=f"unknown kind {kind!r}"):
+                check_dpow(self.K2, D, kind)
+
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(8))
     # right shadow edge count, wrong degree multiset
