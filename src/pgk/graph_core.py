@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, count
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import chain, compress, count, groupby, islice
+from operator import itemgetter, or_
 
 from .errors import GraphFormatError, SizeCapError
 from .group_core import MAX_GROUP_ORDER
@@ -369,6 +369,7 @@ def format_graph(X, with_colors: bool = True) -> str:
 
 
 _CHUNK = 1 << 16
+_DIGITS = b"0123456789"
 
 
 def _chunks(text: str):
@@ -382,13 +383,17 @@ def _chunks(text: str):
 
 
 def parse_graph(text: str):
-    """Read format_graph's text, one line at a time, straight into masks.
-    A vertex count above MAX_GROUP_ORDER is refused before any is built."""
-    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
-    nonblank = filter(str.strip, lines)
-    header = next(nonblank, None)
-    if header is None:
+    """Read format_graph's text into masks a chunk at a time, by _read_runs
+    where a digraph chunk allows it, else by _read_lines.  A vertex count
+    above MAX_GROUP_ORDER is refused before any is built."""
+    chunks = _chunks(text)
+    top, lines = [], iter(())  # lines: the unread lines of the chunk in hand
+    while len(top) < 2 and (chunk := next(chunks, None)) is not None:
+        lines = iter(chunk.splitlines(keepends=True))
+        top += islice(filter(str.strip, lines), 2 - len(top))
+    if not top:
         raise GraphFormatError("empty graph file")
+    header = top[0]
     head = header.split()
     if len(head) != 2 or head[0] not in ("graph", "digraph"):
         raise GraphFormatError(f"bad header line: {header.strip()!r}")
@@ -401,9 +406,9 @@ def parse_graph(text: str):
         raise GraphFormatError(f"bad vertex count: {n}")
     if n > MAX_GROUP_ORDER:
         raise GraphFormatError(f"vertex count {n} exceeds maximum {MAX_GROUP_ORDER}")
-    colors_line = next(nonblank, None)
-    if colors_line is None:
+    if len(top) < 2:
         raise GraphFormatError("missing colors line")
+    colors_line = top[1]
     ctok = colors_line.split()
     if ctok[0] == "colors":
         try:
@@ -420,6 +425,20 @@ def parse_graph(text: str):
         raise GraphFormatError(str(exc)) from None
     index = {str(v): v for v in range(n)}
     masks = [0] * n if directed else [1 << v for v in range(n)]
+    if directed:
+        bit = {s: 1 << v for s, v in index.items()}
+        for chunk in chain(["".join(lines)], chunks):
+            if not _read_runs(chunk, index, bit, masks):
+                _read_lines(chunk.splitlines(), index, masks, directed)
+    else:
+        rest = chain.from_iterable(map(str.splitlines, chunks))
+        _read_lines(chain(lines, rest), index, masks, directed)
+    return (ColoredDiGraph if directed else ColoredGraph)._from_masks(n, colors, masks)
+
+
+def _read_lines(lines, index, masks, directed) -> None:
+    """OR edge lines into masks one at a time, in any accepted spelling."""
+    n = len(masks)
     for ln in lines:
         try:
             a, b = ln.split()
@@ -438,7 +457,30 @@ def parse_graph(text: str):
             masks[v] |= 1 << u
         else:
             raise GraphFormatError(f"bad edge ({u}, {v}) for n={n}")
-    return (ColoredDiGraph if directed else ColoredGraph)._from_masks(n, colors, masks)
+
+
+def _read_runs(chunk, index, bit, masks) -> bool:
+    """OR a digraph chunk's arcs into masks and return True if every line
+    is "u v\n" with u and v keys of index (bit[s] is 1 << index[s]);
+    otherwise leave masks alone and return False.  One str.split reads
+    the chunk, and each run of lines with equal heads costs one OR."""
+    k = chunk.count("\n")
+    if not chunk.isascii() or chunk.encode().translate(None, _DIGITS) != b" \n" * k:
+        return False
+    tokens = chunk.split()
+    if len(tokens) != 2 * k:
+        return False  # an empty id
+    tails = map(bit.__getitem__, tokens[1::2])
+    try:
+        runs = [
+            (index[u], reduce(or_, islice(tails, len(list(run)))))
+            for u, run in groupby(tokens[0::2])
+        ]
+    except KeyError:
+        return False
+    for u, m in runs:
+        masks[u] |= m
+    return True
 
 
 def _edge_ends(ln: str, n: int, directed: bool):

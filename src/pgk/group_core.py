@@ -269,16 +269,21 @@ def load_cayley_file(path) -> FiniteGroup:
         rows = [ln for ln in map(str.strip, fh) if ln]
     if len(rows) != n:
         raise CayleyTableError(f"{path}: expected {n} table rows, got {len(rows)}")
-    table = []
-    for ln in rows:
+    # entries spelled as str(i) spells them share one int object per element
+    ids = {str(i): i for i in range(n)}
+    for i, ln in enumerate(rows):
+        tokens = ln.split()
         try:
-            row = list(map(int, ln.split()))
-        except ValueError:
-            raise CayleyTableError(f"{path}: bad table row {ln!r}") from None
+            row = tuple(map(ids.__getitem__, tokens))
+        except KeyError:
+            try:
+                row = tuple(map(int, tokens))
+            except ValueError:
+                raise CayleyTableError(f"{path}: bad table row {ln!r}") from None
         if len(row) != n:
             raise CayleyTableError(f"{path}: row has {len(row)} entries, expected {n}")
-        table.append(row)
-    return group_from_cayley_table(table)
+        rows[i] = row  # the text row is dropped as it is read
+    return group_from_cayley_table(rows)
 
 
 _TERM_RE = re.compile(

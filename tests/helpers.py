@@ -20,7 +20,7 @@ from pgk.ccg_detection import (
     TwinProfile,
     _masked_profile,
 )
-from pgk.errors import GraphFormatError, GroupSpecError, PipelineError
+from pgk.errors import CayleyTableError, GraphFormatError, GroupSpecError, PipelineError
 from pgk.graph_core import (
     ColoredDiGraph,
     ColoredGraph,
@@ -35,10 +35,12 @@ from pgk.graph_core import (
 from pgk.group_core import (
     MAX_GROUP_ORDER,
     FiniteGroup,
+    _cayley_order,
     cyclic_group,
     dihedral_group,
     direct_product,
     elementary_abelian_group,
+    group_from_cayley_table,
     heisenberg_group,
     quaternion_group,
 )
@@ -718,6 +720,26 @@ def relabel_table(table, perm):
         for j in range(n):
             new[perm[i]][perm[j]] = perm[table[i][j]]
     return tuple(map(tuple, new))
+
+
+def reference_load_cayley_file(path) -> FiniteGroup:
+    """load_cayley_file as it was before it shared the parsed ints: one
+    int() per entry, into a list of lists."""
+    with open(path, encoding="utf-8") as fh:
+        n = _cayley_order(fh, path)
+        rows = [ln for ln in map(str.strip, fh) if ln]
+    if len(rows) != n:
+        raise CayleyTableError(f"{path}: expected {n} table rows, got {len(rows)}")
+    table = []
+    for ln in rows:
+        try:
+            row = list(map(int, ln.split()))
+        except ValueError:
+            raise CayleyTableError(f"{path}: bad table row {ln!r}") from None
+        if len(row) != n:
+            raise CayleyTableError(f"{path}: row has {len(row)} entries, expected {n}")
+        table.append(row)
+    return group_from_cayley_table(table)
 
 
 # --- reference digraph stages ---------------------------------------------

@@ -135,6 +135,87 @@ def test_malformed_texts_accepted_and_rejected_as_by_reference(text, chunk):
         )
 
 
+@st.composite
+def digraph_texts(draw):
+    """format_graph's text of a digraph, some with their arc lines
+    shuffled, some lines duplicated, some lines ended by \\r\\n, or one
+    line missing an id."""
+    D = draw(small_digraphs(12))
+    header, colors, *arcs = format_graph(D, draw(st.booleans())).splitlines()
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        rng.shuffle(arcs)
+    if arcs and draw(st.booleans()):
+        for ln in rng.choices(arcs, k=4):
+            arcs.insert(rng.randrange(len(arcs) + 1), ln)
+    if arcs and draw(st.integers(0, 9)) == 0:
+        i = rng.randrange(len(arcs))
+        arcs[i] = arcs[i].replace(rng.choice(arcs[i].split()), "", 1)
+    crlf = draw(st.booleans())
+    ends = ["\r\n" if crlf and rng.random() < 0.2 else "\n" for _ in arcs]
+    return f"{header}\n{colors}\n" + "".join(map(str.__add__, arcs, ends))
+
+
+@settings(max_examples=500, deadline=None)
+@given(digraph_texts(), st.sampled_from([1, 16, 64, 1 << 16]))
+def test_digraph_texts_read_as_by_reference(text, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_CHUNK", chunk)
+        assert parse_outcome(parse_graph, text) == parse_outcome(
+            reference_parse_graph, text
+        )
+
+
+def test_runs_reader_leaves_masks_alone_when_it_declines():
+    index = {str(v): v for v in range(3)}
+    bit = {s: 1 << v for s, v in index.items()}
+    masks = [0, 0, 0]
+    for chunk in ("0 1\n1 2\n2 01\n", "0 1\n2 3\n", "0 1\n 2\n", "0 1\n2 1"):
+        assert not graph_core._read_runs(chunk, index, bit, masks)
+        assert masks == [0, 0, 0]
+    assert graph_core._read_runs("0 1\n0 2\n0 1\n2 0\n0 1\n", index, bit, masks)
+    assert masks == [0b110, 0, 0b001]
+
+
+def lines_read_one_at_a_time(monkeypatch) -> list[str]:
+    """The lines parse_graph passes to its per-line reader from now on."""
+    read = []
+    read_lines = graph_core._read_lines
+
+    def recording(lines, *args):
+        lines = list(lines)
+        read.extend(lines)
+        read_lines(lines, *args)
+
+    monkeypatch.setattr(graph_core, "_read_lines", recording)
+    return read
+
+
+def test_written_digraph_read_line_by_line_only_where_needed(monkeypatch):
+    D = directed_power_graph(cyclic_group(240))
+    text = format_graph(D)
+    chunks = list(graph_core._chunks(text))
+    assert len(chunks) > 2
+    read = lines_read_one_at_a_time(monkeypatch)
+    assert parse_graph(text) == D
+    assert read == []
+    # a \r\n sends its chunk, and only that chunk, to the per-line reader
+    for i in (0, 2):
+        spelled = chunks[:i] + [chunks[i].replace("\n", "\r\n", 3)] + chunks[i + 1 :]
+        read.clear()
+        assert parse_graph("".join(spelled)) == D
+        lines = spelled[i].splitlines()
+        assert read == (lines[2:] if i == 0 else lines)
+
+
+def test_undirected_text_read_line_by_line(monkeypatch):
+    X = power_graph(cyclic_group(240))
+    text = format_graph(X)
+    read = lines_read_one_at_a_time(monkeypatch)
+    assert parse_graph(text) == X
+    assert list(map(str.strip, read)) == text.splitlines()[2:]
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_long_text_read_in_chunks(newline):
     X = power_graph(cyclic_group(240))

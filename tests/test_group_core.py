@@ -36,8 +36,10 @@ from helpers import (
     reference_element_orders,
     reference_heisenberg_group,
     reference_is_associative,
+    reference_load_cayley_file,
     reference_quaternion_group,
     relabel_table,
+    s3_cayley_text,
     subgroup_generators,
 )
 
@@ -342,6 +344,13 @@ class TestLightAssociativity:
             assert len(gens) <= len(table).bit_length() - 1, (name, gens)
 
 
+def load_outcome(load, path):
+    try:
+        return load(path).table
+    except CayleyTableError as exc:
+        return str(exc)
+
+
 class TestCayleyFile:
     def test_loads_s3(self, s3):
         assert s3.order == 6
@@ -370,6 +379,35 @@ class TestCayleyFile:
         path.write_text(f"{MAX_GROUP_ORDER + 1}\nnot a row\n")
         with pytest.raises(CayleyTableError, match="exceeds maximum"):
             load_cayley_file(path)
+
+    @pytest.mark.parametrize("spelling", ["01", "+1", "-1", "1.5", "x", "\u0661", "1_0"])
+    def test_entry_spellings_read_as_by_reference(self, tmp_path, spelling):
+        # every entry 1 of S3's table, one at a time, spelled otherwise
+        lines = s3_cayley_text().splitlines()
+        for i in range(1, len(lines)):
+            tokens = lines[i].split()
+            for j in (j for j, t in enumerate(tokens) if t == "1"):
+                path = tmp_path / f"s3_{i}_{j}.txt"
+                spelled = tokens[:j] + [spelling] + tokens[j + 1 :]
+                text = lines[:i] + [" ".join(spelled)] + lines[i + 1 :]
+                path.write_text("\n".join(text) + "\n", encoding="utf-8")
+                assert load_outcome(load_cayley_file, path) == load_outcome(
+                    reference_load_cayley_file, path
+                )
+
+    @pytest.mark.parametrize("spec", ["D30", "D150"])
+    def test_loaded_table_shares_its_ints(self, tmp_path, spec):
+        # the identity stays at 0, so no relabelling re-maps the entries;
+        # above order 256 the ints are not CPython's cached small ints
+        G = parse_group_spec(spec)
+        perm = [0] + random.Random(3).sample(range(1, G.order), G.order - 1)
+        table = relabel_table(G.table, perm)
+        path = tmp_path / "t.txt"
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in table)
+        path.write_text(f"{G.order}\n{rows}", encoding="utf-8")
+        H = load_cayley_file(path)
+        assert H.table == table
+        assert len({id(x) for row in H.table for x in row}) <= G.order
 
 
 class TestGroupSpecParsing:
