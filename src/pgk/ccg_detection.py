@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PipelineError
-from .graph_core import ColoredGraph, bits
+from .graph_core import ColoredGraph, bits, scatter
 from .numtheory import divisors, euler_phi, is_prime_power
 
 __all__ = [
@@ -164,13 +164,9 @@ def mark_ccg_enhanced(Gamma: ColoredGraph) -> CcgMarking:
         if labels[v] == UNLABELED:
             _mark_cc(Gamma, labels, v, None)
     masks = Gamma.masks
-    cover = [0] * n
-    for g, label in enumerate(labels):
-        if label == CC:
-            for u in bits(masks[g]):
-                cover[u] |= masks[g]
-    for v in range(n):
-        if cover[v] != masks[v]:
+    cc = [masks[g] for g, label in enumerate(labels) if label == CC]
+    for v, cover in enumerate(scatter(zip(cc, cc), n)):
+        if cover != masks[v]:
             raise PipelineError(
                 f"not an enhanced power graph: N[{v}] is not the union of "
                 "the CC neighborhoods that contain it"

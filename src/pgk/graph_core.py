@@ -27,6 +27,8 @@ __all__ = [
     "ColoredDiGraph",
     "TwinPartition",
     "bits",
+    "reach",
+    "scatter",
     "closed_twin_partition_undirected",
     "closed_twin_partition_directed",
     "induced_subgraph",
@@ -88,9 +90,6 @@ class ColoredGraph(_MaskGraph):
             (u, v) for u, m in enumerate(self.masks) for v in bits(m & -(2 << u))
         )
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.masks[v] ^ (1 << v)))
-
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count() - 1
 
@@ -140,11 +139,7 @@ class ColoredDiGraph(_MaskGraph):
         sources: dict[int, int] = {}
         for u, m in enumerate(self.out_masks):
             sources[m] = sources.get(m, 0) | 1 << u
-        masks = [0] * self.n
-        for m, us in sources.items():
-            for v in bits(m):
-                masks[v] |= us
-        return tuple(masks)
+        return tuple(scatter(sources.items(), self.n))
 
     def out_degree(self, v: int) -> int:
         return self.out_masks[v].bit_count()
@@ -181,6 +176,27 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 def bits(mask: int) -> list[int]:
     """Positions of the set bits of a non-negative mask, ascending."""
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
+
+
+def scatter(pairs, n: int) -> list[int]:
+    """n masks: each (set, value) pair's value ORed into each set member."""
+    masks = [0] * n
+    for members, value in pairs:
+        for u in bits(members):
+            masks[u] |= value
+    return masks
+
+
+def reach(masks, v: int) -> int:
+    """Bit w is set iff w is reachable from v (v included) along masks."""
+    seen = todo = 1 << v
+    while todo:
+        u = (todo & -todo).bit_length() - 1
+        todo ^= 1 << u
+        new = masks[u] & ~seen
+        seen |= new
+        todo |= new
+    return seen
 
 
 def _partition_by_key(n, key) -> TwinPartition:

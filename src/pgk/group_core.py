@@ -141,16 +141,14 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
     return G
 
 
-def direct_product(
-    G: FiniteGroup, H: FiniteGroup, max_order: int = MAX_GROUP_ORDER
-) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Direct product with row-major element indexing (g, h) -> g*|H| + h.
     Row (g, h) is G's row g with each entry x replaced by H's row h
     shifted into block x; each block's ints are made once and shared."""
     n, m = G.order, H.order
-    if n * m > max_order:
+    if n * m > MAX_GROUP_ORDER:
         raise GroupSpecError(
-            f"product order {n * m} exceeds the configured maximum {max_order}"
+            f"product order {n * m} exceeds the configured maximum {MAX_GROUP_ORDER}"
         )
     blocks = [tuple(range(x * m, x * m + m)) for x in range(n)]
     table = [None] * (n * m)
@@ -161,7 +159,7 @@ def direct_product(
     return FiniteGroup(tuple(table))
 
 
-def _greedy_generators(table, columns, identity) -> list[int]:
+def _greedy_generators(table, identity) -> list[int]:
     """Generators of a Latin square with an identity, each the smallest
     element outside the product-closure of those before it.
 
@@ -186,7 +184,7 @@ def _greedy_generators(table, columns, identity) -> list[int]:
             done += 1
             times_earlier = itemgetter(*members[:done])
             fresh = set(times_earlier(table[u]))
-            fresh.update(times_earlier(columns[u]))
+            fresh.update(map(itemgetter(u), times_earlier(table)))
             fresh -= inside
             members.extend(fresh)
             inside |= fresh
@@ -215,22 +213,21 @@ def group_from_cayley_table(table) -> FiniteGroup:
             raise CayleyTableError(
                 f"closure fails: entry table[{i}][{j}] = {x} is outside [0, {n})"
             )
-    columns = tuple(zip(*table))
-    for i in range(n):
-        if len(set(table[i])) != n:
+    # each column is made from the rows as the check reaches it
+    for i, (row, column) in enumerate(zip(table, zip(*table))):
+        if len(set(row)) != n:
             raise CayleyTableError(f"row {i} is not a permutation")
-        if len(set(columns[i])) != n:
+        if len(set(column)) != n:
             raise CayleyTableError(f"column {i} is not a permutation")
     natural = tuple(range(n))
-    identity = next(
-        (e for e in range(n) if table[e] == natural and columns[e] == natural), None
-    )
-    if identity is None:
+    # the rows are distinct, so at most one is natural
+    identity = next((e for e, row in enumerate(table) if row == natural), None)
+    if identity is None or tuple(map(itemgetter(identity), table)) != natural:
         raise CayleyTableError("identity fails: no two-sided identity element")
     for i, row in enumerate(table):
         if table[row.index(identity)][i] != identity:
             raise CayleyTableError(f"inverse fails: element {i} has no two-sided inverse")
-    for a in _greedy_generators(table, columns, identity):
+    for a in _greedy_generators(table, identity):
         # times_a(row of x) is y -> x(ay), table[xa] is y -> (xa)y
         times_a = itemgetter(*table[a])
         for x, row_x in enumerate(table):
@@ -291,14 +288,14 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
+def parse_group_spec(text: str) -> FiniteGroup:
     """Build the group described by a spec string.
 
     Grammar: SPEC := TERM ("x" TERM)* with TERM one of Zk, Dk (order 2k),
     Q8, Heisp, ElemAb(p,k), file:PATH.  A file: term swallows the rest of
     the string (paths may contain "x"), so it must come last.  Each
     term's order is known from its parameters or its file's order line,
-    so a spec over max_order is refused before any table is built.
+    so a spec over MAX_GROUP_ORDER is refused before any table is built.
     """
     text = text.strip()
     if not text:
@@ -324,8 +321,8 @@ def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup
                 raise GroupSpecError("term parameter has too many digits", pos) from None
             end = m.end()
         order *= term_order
-        if order > max_order:
-            raise GroupSpecError(f"group order exceeds maximum {max_order}", pos)
+        if order > MAX_GROUP_ORDER:
+            raise GroupSpecError(f"group order exceeds maximum {MAX_GROUP_ORDER}", pos)
         builders.append(build)
         pos = end
         if pos == len(text):
@@ -337,7 +334,7 @@ def parse_group_spec(text: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup
             raise GroupSpecError("trailing 'x' in group spec", pos)
     G = builders[0]()
     for build in builders[1:]:
-        G = direct_product(G, build(), max_order=max_order)
+        G = direct_product(G, build())
     return G
 
 

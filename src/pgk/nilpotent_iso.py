@@ -1,33 +1,25 @@
 """Polynomial-time isomorphism of directed power graphs of nilpotent
 groups: split into per-prime components, reduce each to its colored
-tree, and compare canonical tree codes.
+tree, and compare canonical tree codes.  One sweep groups each input's
+vertices by color, and each distinct color is tested against each prime
+once; the Sylow vertex lists serve the shape check and the subgraphs.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import PipelineError
-from .graph_core import ColoredDiGraph, ColoredGraph, induced_subgraph
-from .numtheory import is_power_of, is_prime, prime_factorization
+from .graph_core import ColoredDiGraph, ColoredGraph, bits, induced_subgraph, reach
+from .numtheory import is_power_of, prime_factorization
 from .reconstruction import dpow_from_enhanced_graph, dpow_from_power_graph
 from .reductions import reduce_r1, reduce_r2, reduce_r3
 
 __all__ = [
-    "p_component",
     "canonical_tree_code",
     "dpow_iso_nilpotent",
     "graph_iso_nilpotent",
 ]
-
-
-def p_component(D: ColoredDiGraph, p: int) -> ColoredDiGraph:
-    """Induced subgraph on the vertices of p-power color (identity, color
-    1, included).  For a nilpotent underlying group this is the directed
-    power graph of a Sylow subgroup."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    keep = [v for v in range(D.n) if is_power_of(D.colors[v], p)]
-    sub, _ = induced_subgraph(D, keep)
-    return sub
 
 
 def canonical_tree_code(T: ColoredGraph) -> str:
@@ -35,65 +27,56 @@ def canonical_tree_code(T: ColoredGraph) -> str:
     vertex; equal codes iff color-preserving isomorphic."""
     if T.n == 0:
         raise PipelineError("empty graph is not a tree")
-    degree_sum = sum(m.bit_count() - 1 for m in T.masks)
-    if degree_sum != 2 * (T.n - 1) or not _is_connected(T):
+    masks = T.masks
+    degree_sum = sum(m.bit_count() - 1 for m in masks)
+    if degree_sum != 2 * (T.n - 1) or reach(masks, 0) != (1 << T.n) - 1:
         raise PipelineError("input is not a tree")
     roots = [v for v in range(T.n) if T.colors[v] == 1]
     if len(roots) != 1:
         raise PipelineError(f"expected exactly one color-1 vertex, found {len(roots)}")
 
-    def code(v: int, parent: int) -> str:
-        children = sorted(
-            code(w, v) for w in T.neighbors(v) if w != parent
-        )
+    def code(v: int, skip: int) -> str:
+        children = sorted(code(w, 1 << w | 1 << v) for w in bits(masks[v] & ~skip))
         return f"({T.colors[v]}:{','.join(children)})"
 
-    return code(roots[0], -1)
-
-
-def _is_connected(X: ColoredGraph) -> bool:
-    if X.n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in X.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == X.n
+    return code(roots[0], 1 << roots[0])
 
 
 def _r3_of(D: ColoredDiGraph) -> ColoredGraph:
     return reduce_r3(reduce_r2(reduce_r1(D).graph))
 
 
-def _check_nilpotent_shape(D: ColoredDiGraph, primes) -> None:
-    prod = 1
-    for p in primes:
-        prod *= sum(1 for c in D.colors if is_power_of(c, p))
-    if prod != D.n:
+def _sylow_vertices(D: ColoredDiGraph, primes) -> list[list[int]]:
+    """Per prime p, the vertices of p-power color (a Sylow subgroup, for a
+    nilpotent group; color 1 in every list).  Sizes must multiply to D.n."""
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(D.colors):
+        by_color.setdefault(c, []).append(v)
+    parts = [
+        [v for c, vs in by_color.items() if is_power_of(c, p) for v in vs] for p in primes
+    ]
+    if (size := prod(map(len, parts))) != D.n:
         raise PipelineError(
             "input not recognized as the directed power graph of a nilpotent "
-            f"group: per-prime component sizes multiply to {prod}, not {D.n}"
+            f"group: per-prime component sizes multiply to {size}, not {D.n}"
         )
+    return parts
 
 
 def dpow_iso_nilpotent(D1: ColoredDiGraph, D2: ColoredDiGraph) -> bool:
     """Isomorphism test for colored directed power graphs of nilpotent
-    groups.  Colors must be out-degrees (element orders)."""
+    groups.  Colors must be out-degrees (element orders), which any
+    isomorphism keeps, so once every per-prime tree matches the verdict
+    is whether the two color multisets agree."""
     if D1.n != D2.n:
         return False
     primes = [p for p, _ in prime_factorization(D1.n)] if D1.n > 1 else []
-    _check_nilpotent_shape(D1, primes)
-    _check_nilpotent_shape(D2, primes)
-    for p in primes:
-        t1 = _r3_of(p_component(D1, p))
-        t2 = _r3_of(p_component(D2, p))
+    for s1, s2 in zip(_sylow_vertices(D1, primes), _sylow_vertices(D2, primes)):
+        t1 = _r3_of(induced_subgraph(D1, s1)[0])
+        t2 = _r3_of(induced_subgraph(D2, s2)[0])
         if canonical_tree_code(t1) != canonical_tree_code(t2):
             return False
-    return True
+    return sorted(D1.colors) == sorted(D2.colors)
 
 
 def graph_iso_nilpotent(X1, X2, kind: str) -> bool:
@@ -114,8 +97,8 @@ def graph_iso_nilpotent(X1, X2, kind: str) -> bool:
 
 
 def _recolor_by_out_degree(D: ColoredDiGraph) -> ColoredDiGraph:
-    colors = tuple(D.out_degree(v) for v in range(D.n))
-    if any(c < 1 for c in colors):
+    colors = tuple(m.bit_count() for m in D.out_masks)
+    if 0 in colors:
         raise PipelineError(
             "directed power graphs have a self-loop at every vertex; "
             "found a vertex with empty out-neighborhood"

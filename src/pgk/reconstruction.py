@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
-from .graph_core import ColoredDiGraph, ColoredGraph, bits
+from .graph_core import ColoredDiGraph, ColoredGraph, bits, scatter
 from .numtheory import euler_phi, is_prime
 from .reductions import R4Graph, hasse_divisor_graph, reach_masks
 
@@ -262,11 +262,8 @@ def _epow_masks(D: ColoredDiGraph) -> list[int]:
     """Closed neighborhoods of D's enhanced power graph as bitmasks: N[u]
     is the union of the closed out-neighborhoods that contain u.  Each
     distinct one is spread over its members once."""
-    masks = [0] * D.n
-    for closed in dict.fromkeys(m | 1 << w for w, m in enumerate(D.out_masks)):
-        for u in bits(closed):
-            masks[u] |= closed
-    return masks
+    closed = dict.fromkeys(m | 1 << w for w, m in enumerate(D.out_masks))
+    return scatter(zip(closed, closed), D.n)
 
 
 def epow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:

@@ -17,6 +17,7 @@ from .graph_core import (
     ColoredGraph,
     bits,
     closed_twin_partition_directed,
+    reach,
 )
 from .numtheory import divisors, euler_phi, is_prime
 
@@ -47,7 +48,7 @@ class R4Graph:
 
     ccg_colors: tuple[int, ...]
     intersection_colors: dict[tuple[int, int], int]
-    # R3 vertex behind each g_i, when the R4 was built from an R3 graph
+    # the marked input graph's CC vertex behind each g_i (R3's, if built from R3)
     ccg_vertices: tuple[int, ...] | None = None
 
     @property
@@ -136,15 +137,4 @@ def hasse_divisor_graph(n: int) -> ColoredGraph:
 def reach_masks(X: ColoredDiGraph) -> list[int]:
     """Bit w of reach_masks(X)[v] is set iff w is reachable from v, v
     included."""
-    out = X.out_masks
-    reach = []
-    for v in range(X.n):
-        seen = todo = 1 << v
-        while todo:
-            u = (todo & -todo).bit_length() - 1
-            todo ^= 1 << u
-            new = out[u] & ~seen
-            seen |= new
-            todo |= new
-        reach.append(seen)
-    return reach
+    return [reach(X.out_masks, v) for v in range(X.n)]

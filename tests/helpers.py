@@ -52,7 +52,7 @@ from pgk.numtheory import (
     prime_factorization,
 )
 from pgk.powergraph_build import power_graph
-from pgk.reductions import R4Graph, reach_masks
+from pgk.reductions import R4Graph, reach_masks, reduce_r1, reduce_r2, reduce_r3
 
 
 def phi_table(limit: int) -> list[int]:
@@ -250,6 +250,10 @@ def closed_neighborhood(X: ColoredGraph, v: int) -> frozenset[int]:
     return frozenset(bits(X.masks[v]))
 
 
+def neighbors(X: ColoredGraph, v: int) -> frozenset[int]:
+    return frozenset(bits(X.masks[v] ^ (1 << v)))
+
+
 def closed_out_neighborhood(X: ColoredDiGraph, v: int) -> frozenset[int]:
     return frozenset(bits(X.out_masks[v] | 1 << v))
 
@@ -280,7 +284,7 @@ def descendants(X: ColoredGraph, v: int) -> set[int]:
     stack = [v]
     while stack:
         u = stack.pop()
-        for w in X.neighbors(u):
+        for w in neighbors(X, u):
             if w not in seen and X.colors[w] < X.colors[u]:
                 seen.add(w)
                 stack.append(w)
@@ -293,7 +297,7 @@ def ccg_vertices_in_r3(X: ColoredGraph) -> list[int]:
     ccg = [
         v
         for v in range(X.n)
-        if all(X.colors[w] < X.colors[v] for w in X.neighbors(v))
+        if all(X.colors[w] < X.colors[v] for w in neighbors(X, v))
     ]
     ccg.sort(key=lambda v: (X.colors[v], v))
     return ccg
@@ -955,3 +959,87 @@ def reference_cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
         if u != v:
             arcs.update((a, b) for a in clusters[u] for b in clusters[v])
     return ColoredDiGraph(len(colors), tuple(colors), frozenset(arcs))
+
+
+def p_component(D: ColoredDiGraph, p: int) -> ColoredDiGraph:
+    """Induced subgraph on the vertices of p-power color (identity, color
+    1, included).  For a nilpotent underlying group this is the directed
+    power graph of a Sylow subgroup."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    keep = [v for v in range(D.n) if is_power_of(D.colors[v], p)]
+    sub, _ = induced_subgraph(D, keep)
+    return sub
+
+
+# --- reference nilpotent isomorphism ---------------------------------------
+#
+# dpow_iso_nilpotent as it was while it walked frozenset neighbourhoods
+# (neighbors(T, v) stands for the removed ColoredGraph.neighbors) and
+# tested every vertex's color against every prime, once for the shape
+# check and once per component.  The library's version must give the same
+# verdict or the same PipelineError text, except that it also compares
+# the two color multisets: the reference's True is the library's False
+# exactly when those differ.
+
+
+def reference_canonical_tree_code(T: ColoredGraph) -> str:
+    if T.n == 0:
+        raise PipelineError("empty graph is not a tree")
+    degree_sum = sum(m.bit_count() - 1 for m in T.masks)
+    if degree_sum != 2 * (T.n - 1) or not _reference_is_connected(T):
+        raise PipelineError("input is not a tree")
+    roots = [v for v in range(T.n) if T.colors[v] == 1]
+    if len(roots) != 1:
+        raise PipelineError(f"expected exactly one color-1 vertex, found {len(roots)}")
+
+    def code(v: int, parent: int) -> str:
+        children = sorted(
+            code(w, v) for w in neighbors(T, v) if w != parent
+        )
+        return f"({T.colors[v]}:{','.join(children)})"
+
+    return code(roots[0], -1)
+
+
+def _reference_is_connected(X: ColoredGraph) -> bool:
+    if X.n == 0:
+        return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in neighbors(X, u):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == X.n
+
+
+def _reference_r3_of(D: ColoredDiGraph) -> ColoredGraph:
+    return reduce_r3(reduce_r2(reduce_r1(D).graph))
+
+
+def _reference_check_nilpotent_shape(D: ColoredDiGraph, primes) -> None:
+    prod = 1
+    for p in primes:
+        prod *= sum(1 for c in D.colors if is_power_of(c, p))
+    if prod != D.n:
+        raise PipelineError(
+            "input not recognized as the directed power graph of a nilpotent "
+            f"group: per-prime component sizes multiply to {prod}, not {D.n}"
+        )
+
+
+def reference_dpow_iso_nilpotent(D1: ColoredDiGraph, D2: ColoredDiGraph) -> bool:
+    if D1.n != D2.n:
+        return False
+    primes = [p for p, _ in prime_factorization(D1.n)] if D1.n > 1 else []
+    _reference_check_nilpotent_shape(D1, primes)
+    _reference_check_nilpotent_shape(D2, primes)
+    for p in primes:
+        t1 = _reference_r3_of(p_component(D1, p))
+        t2 = _reference_r3_of(p_component(D2, p))
+        if reference_canonical_tree_code(t1) != reference_canonical_tree_code(t2):
+            return False
+    return True

@@ -47,6 +47,7 @@ from helpers import (
     is_nilpotent,
     make_rng,
     maximal_cyclic_subgroups,
+    neighbors,
     phi_table,
     random_relabel,
     reduce_r4,
@@ -129,7 +130,7 @@ def test_criterion_3_p_group_r3_is_tree(p_groups):
             stack = [0]
             while stack:
                 u = stack.pop()
-                for w in r3.neighbors(u):
+                for w in neighbors(r3, u):
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)

@@ -306,6 +306,18 @@ class TestIso:
         a = self._write(tmp_path, "a.graph", directed_power_graph(s3), True)
         assert run("iso", a, a, "--kind", "dpow") == 4
 
+    def test_dpow_files_with_different_arc_counts(self, tmp_path, capsys):
+        # dropping "5 0" moves vertex 5's out-degree from 6 to 5, a color
+        # no Sylow part holds, so only the color multisets differ
+        z6, cut = tmp_path / "z6.txt", tmp_path / "z6_cut.txt"
+        assert run("generate", "Z6", "--kind", "dpow", "--out", str(z6)) == 0
+        lines = z6.read_text().splitlines(keepends=True)
+        cut.write_text("".join(ln for ln in lines if ln != "5 0\n"))
+        assert len(lines) == len(cut.read_text().splitlines()) + 1
+        capsys.readouterr()
+        assert run("iso", str(z6), str(cut), "--kind", "dpow") == 1
+        assert capsys.readouterr().out.strip() == "non-isomorphic"
+
 
 class TestVerify:
     def test_pow_z12_consistent(self, tmp_path):

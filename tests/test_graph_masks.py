@@ -15,7 +15,9 @@ from pgk.graph_core import (
     bits,
     format_graph,
     parse_graph,
+    reach,
     relabel,
+    scatter,
 )
 from pgk.group_core import cyclic_group
 from pgk.powergraph_build import (
@@ -248,3 +250,26 @@ def test_cli_builds_no_edge_or_arc_view(tmp_path, monkeypatch, s3_file):
             assert main(["verify", path[kind], "--kind", kind]) == 0
         if spec in nilpotent:
             assert main(["iso", path["dpow"], path["cdpow"], "--kind", "dpow"]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(12))
+def test_reach_is_the_connected_component(X):
+    for v in range(X.n):
+        component, todo = {v}, [v]
+        while todo:
+            fresh = set(bits(X.masks[todo.pop()])) - component
+            component |= fresh
+            todo += fresh
+        assert set(bits(reach(X.masks, v))) == component
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), max_size=6))
+def test_scatter_ors_each_value_into_its_members(pairs):
+    expected = [0] * 8
+    for members, value in pairs:
+        for u in range(8):
+            if members >> u & 1:
+                expected[u] |= value
+    assert scatter(pairs, 8) == expected

@@ -217,6 +217,20 @@ class TestCayleyTableValidation:
         with pytest.raises(CayleyTableError, match="permutation"):
             group_from_cayley_table([[0, 0], [1, 1]])
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation"),
+            # row 2 and column 0 both fail: rows and columns are checked
+            # in turn, row i then column i
+            ([[0, 1, 2], [1, 2, 0], [1, 0, 0]], "column 0 is not a permutation"),
+            ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "row 2 is not a permutation"),
+        ],
+    )
+    def test_first_failing_line_named(self, table, message):
+        with pytest.raises(CayleyTableError, match=message):
+            group_from_cayley_table(table)
+
     def test_no_identity(self):
         # Latin square with a row identity but no two-sided identity
         table = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -338,10 +352,30 @@ class TestLightAssociativity:
             rng.shuffle(perm)
             tables.append((spec, relabel_table(G.table, perm)))
         for name, table in tables:
-            columns = tuple(zip(*table))
             identity = _two_sided_identity(table)
-            gens = group_core._greedy_generators(table, columns, identity)
+            gens = group_core._greedy_generators(table, identity)
             assert len(gens) <= len(table).bit_length() - 1, (name, gens)
+            assert gens == _greedy_by_closure(table, identity), name
+
+    def test_generators_of_loops_up_to_order_six(self):
+        # products on one side only pick other generators for 192 of the
+        # 9,471 loops, all of order six
+        for n in range(1, 7):
+            for table in normalized_loops(n):
+                assert group_core._greedy_generators(table, 0) == _greedy_by_closure(table, 0)
+
+
+def _greedy_by_closure(table, identity):
+    """Each generator the smallest element outside the closure of the
+    identity and those before it under products on both sides."""
+    n = len(table)
+    inside, gens = {identity}, []
+    while len(inside) < n:
+        gens.append(min(set(range(n)) - inside))
+        inside.add(gens[-1])
+        while fresh := {table[x][y] for x in inside for y in inside} - inside:
+            inside |= fresh
+    return gens
 
 
 def load_outcome(load, path):
@@ -464,8 +498,9 @@ class TestGroupSpecParsing:
         for name in ("cyclic_group", "dihedral_group", "heisenberg_group",
                      "elementary_abelian_group", "quaternion_group"):
             monkeypatch.setattr(group_core, name, None)
+        monkeypatch.setattr(group_core, "MAX_GROUP_ORDER", 100)
         with pytest.raises(GroupSpecError, match="exceeds maximum 100"):
-            parse_group_spec(spec, max_order=100)
+            parse_group_spec(spec)
 
     def test_parameter_past_int_digit_limit(self):
         with pytest.raises(GroupSpecError, match="too many digits"):

@@ -1,27 +1,36 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pgk.errors import PipelineError
-from pgk.graph_core import ColoredDiGraph, ColoredGraph, brute_force_color_iso
+from pgk.graph_core import ColoredDiGraph, ColoredGraph, brute_force_color_iso, relabel
 from pgk.group_core import (
     cyclic_group,
     direct_product,
     elementary_abelian_group,
     heisenberg_group,
+    parse_group_spec,
     quaternion_group,
 )
 from pgk.nilpotent_iso import (
     canonical_tree_code,
     dpow_iso_nilpotent,
     graph_iso_nilpotent,
-    p_component,
 )
 from pgk.powergraph_build import enhanced_power_graph, power_graph
 from pgk.powergraph_build import directed_power_graph
 from pgk.reductions import reduce_r1, reduce_r2, reduce_r3
 
-from helpers import is_abelian, is_nilpotent, make_rng, random_relabel
+from helpers import (
+    is_abelian,
+    is_nilpotent,
+    make_rng,
+    p_component,
+    random_relabel,
+    reference_dpow_iso_nilpotent,
+    small_digraphs,
+)
 
 
 def r3_of_digraph(D):
@@ -99,6 +108,18 @@ class TestCanonicalTreeCode:
         with pytest.raises(PipelineError):
             canonical_tree_code(ColoredGraph(0, (), frozenset()))
 
+    # n - 1 edges and even degrees summing right, but not connected: only
+    # the connectivity check tells these from trees
+    def test_rejects_isolated_root_beside_triangle(self):
+        T = ColoredGraph(4, (1, 2, 2, 2), frozenset({(1, 2), (1, 3), (2, 3)}))
+        with pytest.raises(PipelineError, match="tree"):
+            canonical_tree_code(T)
+
+    def test_rejects_root_on_triangle_beside_isolated_vertex(self):
+        T = ColoredGraph(4, (1, 2, 2, 2), frozenset({(0, 1), (0, 2), (1, 2)}))
+        with pytest.raises(PipelineError, match="tree"):
+            canonical_tree_code(T)
+
 
 class TestDpowIsoNilpotent:
     def test_relabeled_copy(self):
@@ -146,6 +167,88 @@ class TestDpowIsoNilpotent:
                 for p in (2, 3)
             )
             assert dpow_iso_nilpotent(D1, D2) == expected
+
+
+def by_out_degree(D):
+    """D recolored by out-degree, as `iso --kind dpow` reads a file."""
+    colors = tuple(m.bit_count() for m in D.out_masks)
+    return ColoredDiGraph._from_masks(D.n, colors, D.out_masks)
+
+
+def outcome(iso, D1, D2):
+    try:
+        return iso(D1, D2)
+    except PipelineError as exc:
+        return str(exc)
+
+
+def assert_agrees_with_reference(D1, D2):
+    """Same verdict or PipelineError text as the reference, except that a
+    reference True becomes False exactly when the color multisets differ."""
+    expected = outcome(reference_dpow_iso_nilpotent, D1, D2)
+    if expected is True:
+        expected = sorted(D1.colors) == sorted(D2.colors)
+    assert outcome(dpow_iso_nilpotent, D1, D2) == expected
+
+
+def flip(D, arcs):
+    masks = list(D.out_masks)
+    for u, v in arcs:
+        masks[u] ^= 1 << v
+    return ColoredDiGraph._from_masks(D.n, D.colors, masks)
+
+
+FLIP_SPECS = ["Z1", "Z2", "Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ2", "Z2xZ6", "Z3xZ3",
+              "Q8", "D3", "D4", "Z2xZ4"]
+
+
+@st.composite
+def dpow_pairs(draw):
+    """A recolored pair: a small digraph against a relabelled copy, a copy
+    with up to three arcs flipped, or a second small digraph; or a DPow of
+    a small group against a relabelled copy with one to three arcs
+    flipped."""
+    if draw(st.booleans()):
+        D = draw(small_digraphs(9, max_color=1))
+        other = draw(st.sampled_from(["relabel", "flip", "free"]))
+        if other == "free":
+            E = draw(small_digraphs(9, max_color=1).filter(lambda E: E.n == D.n))
+        else:
+            E = D
+        low = 1 if other == "flip" else 0
+    else:
+        D = directed_power_graph(parse_group_spec(draw(st.sampled_from(FLIP_SPECS))))
+        E, low = D, 1
+    cells = st.tuples(st.integers(0, D.n - 1), st.integers(0, D.n - 1))
+    E = flip(E, draw(st.lists(cells, min_size=low, max_size=3 * low, unique=True)))
+    perm = draw(st.permutations(range(D.n)))
+    D, E = by_out_degree(D), by_out_degree(relabel(E, perm))
+    assume(0 not in D.colors + E.colors)  # a vertex with no arc is refused earlier
+    return D, E
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(dpow_pairs())
+    def test_random_pairs(self, pair):
+        assert_agrees_with_reference(*pair)
+
+    def test_relabelled_catalog_and_p_group_pairs(self, catalog, p_groups):
+        rng = make_rng(13)
+        graphs = [directed_power_graph(G) for _, G in catalog + p_groups]
+        for D1 in graphs:
+            for D2 in graphs:
+                if D1.n == D2.n:
+                    assert_agrees_with_reference(D1, random_relabel(D2, rng))
+
+    def test_cut_z6_was_a_wrong_isomorphic(self):
+        # element 5 of Z6 loses its arc to the identity: its out-degree 5
+        # is in no Sylow part, so every per-prime tree still matches
+        D = directed_power_graph(cyclic_group(6))
+        cut = by_out_degree(flip(D, [(5, 0)]))
+        assert reference_dpow_iso_nilpotent(D, cut)
+        assert not dpow_iso_nilpotent(D, cut)
+        assert brute_force_color_iso(D, cut) is None
 
 
 class TestGraphIsoNilpotent:

@@ -30,6 +30,7 @@ from helpers import (
     color_iso,
     descendants,
     intersection_color,
+    neighbors,
     reachability,
     reduce_r4,
     verify_r2_structure,
@@ -171,7 +172,7 @@ class TestReduceR4:
         ccg = ccg_vertices_in_r3(r3)
         assert [r3.colors[v] for v in ccg] == [4, 4, 4]
         for v in ccg:
-            assert all(r3.colors[w] < r3.colors[v] for w in r3.neighbors(v))
+            assert all(r3.colors[w] < r3.colors[v] for w in neighbors(r3, v))
 
     def test_rejects_ambiguous_maximum(self):
         # two color-2 vertices below both color-4 CCG vertices
@@ -257,7 +258,7 @@ class TestTreeTheorem:
             stack = [0]
             while stack:
                 u = stack.pop()
-                for w in r3.neighbors(u):
+                for w in neighbors(r3, u):
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
