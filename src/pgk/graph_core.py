@@ -29,6 +29,7 @@ __all__ = [
     "bits",
     "reach",
     "scatter",
+    "transpose",
     "closed_twin_partition_undirected",
     "closed_twin_partition_directed",
     "induced_subgraph",
@@ -185,6 +186,16 @@ def scatter(pairs, n: int) -> list[int]:
         for u in bits(members):
             masks[u] |= value
     return masks
+
+
+def transpose(masks) -> list[int]:
+    """The n masks of the reversed arcs: bit u of the v-th is bit v of
+    masks[u], for masks below 1 << n."""
+    n = len(masks)
+    # rows last to first, each digit string most significant bit first:
+    # column v is then every n-th digit from n - 1 - v, high bit first
+    flat = "".join(format(m, f"0{n}b") for m in reversed(masks))
+    return [int(flat[n - 1 - v :: n], 2) for v in range(n)]
 
 
 def reach(masks, v: int) -> int:
@@ -400,8 +411,9 @@ def _chunks(text: str):
 
 def parse_graph(text: str):
     """Read format_graph's text into masks a chunk at a time, by _read_runs
-    where a digraph chunk allows it, else by _read_lines.  A vertex count
-    above MAX_GROUP_ORDER is refused before any is built."""
+    where a chunk allows it, else by _read_lines.  Both kinds' lines are
+    read as arcs; an undirected graph's are then symmetrised once.  A
+    vertex count above MAX_GROUP_ORDER is refused before any is built."""
     chunks = _chunks(text)
     top, lines = [], iter(())  # lines: the unread lines of the chunk in hand
     while len(top) < 2 and (chunk := next(chunks, None)) is not None:
@@ -440,20 +452,22 @@ def parse_graph(text: str):
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
     index = {str(v): v for v in range(n)}
-    masks = [0] * n if directed else [1 << v for v in range(n)]
+    bit = {s: 1 << v for s, v in index.items()}
+    masks = [0] * n
+    for chunk in chain(["".join(lines)], chunks):
+        if not _read_runs(chunk, index, bit, masks):
+            _read_lines(chunk.splitlines(), index, masks, directed)
     if directed:
-        bit = {s: 1 << v for s, v in index.items()}
-        for chunk in chain(["".join(lines)], chunks):
-            if not _read_runs(chunk, index, bit, masks):
-                _read_lines(chunk.splitlines(), index, masks, directed)
-    else:
-        rest = chain.from_iterable(map(str.splitlines, chunks))
-        _read_lines(chain(lines, rest), index, masks, directed)
-    return (ColoredDiGraph if directed else ColoredGraph)._from_masks(n, colors, masks)
+        return ColoredDiGraph._from_masks(n, colors, masks)
+    for v, m in enumerate(masks):  # the lines were read as arcs: no loops
+        if m >> v & 1:
+            raise GraphFormatError(f"bad edge ({v}, {v}) for n={n}")
+    pairs = enumerate(zip(masks, transpose(masks)))
+    return ColoredGraph._from_masks(n, colors, [m | t | 1 << v for v, (m, t) in pairs])
 
 
 def _read_lines(lines, index, masks, directed) -> None:
-    """OR edge lines into masks one at a time, in any accepted spelling."""
+    """OR arc lines into masks one at a time, in any accepted spelling."""
     n = len(masks)
     for ln in lines:
         try:
@@ -466,17 +480,11 @@ def _read_lines(lines, index, masks, directed) -> None:
             u, v = index[a], index[b]
         except KeyError:
             u, v = _edge_ends(ln, n, directed)
-        if directed:
-            masks[u] |= 1 << v
-        elif u != v:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        else:
-            raise GraphFormatError(f"bad edge ({u}, {v}) for n={n}")
+        masks[u] |= 1 << v
 
 
 def _read_runs(chunk, index, bit, masks) -> bool:
-    """OR a digraph chunk's arcs into masks and return True if every line
+    """OR a chunk's arcs into masks and return True if every line
     is "u v\n" with u and v keys of index (bit[s] is 1 << index[s]);
     otherwise leave masks alone and return False.  One str.split reads
     the chunk, and each run of lines with equal heads costs one OR."""
@@ -500,15 +508,13 @@ def _read_runs(chunk, index, bit, masks) -> bool:
 
 
 def _edge_ends(ln: str, n: int, directed: bool):
-    """(u, v) from an edge line that is not written as format_graph
-    writes it, or GraphFormatError."""
+    """(u, v) from an arc line that is not written as format_graph writes
+    it, or GraphFormatError."""
     try:
         u, v = map(int, ln.split())
     except ValueError:
         raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
-    if not directed:
-        u, v = min(u, v), max(u, v)
-    if not (0 <= u < n and 0 <= v < n) or (not directed and u == v):
+    if not (0 <= u < n and 0 <= v < n):
         kind = "arc" if directed else "edge"
         raise GraphFormatError(f"bad {kind} ({u}, {v}) for n={n}")
     return u, v

@@ -5,9 +5,9 @@ The pipeline is: mark a CCG-set, summarize into R4, rebuild R3 by gluing
 divisor Hasse diagrams, orient back to R2, close up to R1, and expand
 twin classes into the full colored directed power graph; `check_dpow`
 then rejects a result whose vertex count differs from the input's, or,
-from a power graph, whose shadow's edge count or degree multiset does,
-or, from an enhanced power graph, whose enhanced power graph's degree
-multiset does.  Every stage reads and writes bitmask adjacency.  The
+in one degree comparison, whose shadow (from a power graph) or enhanced
+power graph (from an enhanced power graph) has another degree multiset
+than the input.  Every stage reads and writes bitmask adjacency.  The
 output is an isomorphic copy, not a relabeling of the input vertices:
 closed twins are interchangeable and the reconstruction does not try to
 tell them apart.
@@ -204,27 +204,19 @@ def cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
 
 def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGraph:
     """Return D if it passes the necessary checks against the input
-    Gamma, else raise PipelineError: equal vertex counts and, for kind
-    "pow", equal edge counts and degree multisets of Gamma and D's
-    undirected shadow; for kind "epow", the same degree multiset in D's
-    enhanced power graph as in Gamma.  Any other kind is a ValueError."""
+    Gamma, else raise PipelineError: equal vertex counts, and the same
+    degree multiset in Gamma as in D's undirected shadow (kind "pow") or
+    D's enhanced power graph (kind "epow").  Any other kind is a
+    ValueError."""
     if kind not in ("pow", "epow"):
         raise ValueError(f"unknown kind {kind!r}")
     if D.n != Gamma.n:
         raise PipelineError(
             f"reconstruction has {D.n} vertices, the input has {Gamma.n}"
         )
-    want = _degrees(Gamma.masks)
-    if kind == "pow":
-        graph, got = "shadow", _degrees(D.undirected_shadow().masks)
-        edges, input_edges = sum(got.elements()) // 2, sum(want.elements()) // 2
-        if edges != input_edges:
-            raise PipelineError(
-                f"reconstruction's shadow has {edges} edges, "
-                f"the input has {input_edges}"
-            )
-    else:
-        graph, got = "enhanced power graph", _degrees(_epow_masks(D))
+    build = pow_from_dpow if kind == "pow" else epow_from_dpow
+    graph = "shadow" if kind == "pow" else "enhanced power graph"
+    got, want = (Counter(m.bit_count() - 1 for m in X.masks) for X in (build(D), Gamma))
     if got != want:
         d = min(k for k in got | want if got[k] != want[k])
         raise PipelineError(
@@ -232,10 +224,6 @@ def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGr
             f"of degree {d}, the input has {want[d]}"
         )
     return D
-
-
-def _degrees(closed_masks) -> Counter:
-    return Counter(m.bit_count() - 1 for m in closed_masks)
 
 
 def _dpow_pipeline(Gamma: ColoredGraph, marking: CcgMarking, kind: str):
@@ -258,18 +246,13 @@ def dpow_from_enhanced_graph(Gamma: ColoredGraph) -> ColoredDiGraph:
     return _dpow_pipeline(Gamma, mark_ccg_enhanced(Gamma), "epow")
 
 
-def _epow_masks(D: ColoredDiGraph) -> list[int]:
-    """Closed neighborhoods of D's enhanced power graph as bitmasks: N[u]
-    is the union of the closed out-neighborhoods that contain u.  Each
-    distinct one is spread over its members once."""
-    closed = dict.fromkeys(m | 1 << w for w, m in enumerate(D.out_masks))
-    return scatter(zip(closed, closed), D.n)
-
-
 def epow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:
     """Edge {u, v} iff some vertex's closed out-neighborhood contains
-    both; the result is the enhanced power graph, uncolored."""
-    return ColoredGraph._from_masks(D.n, (1,) * D.n, _epow_masks(D))
+    both; the result is the enhanced power graph, uncolored.  N[u] is the
+    union of the closed out-neighborhoods that contain u, and each
+    distinct one is spread over its members once."""
+    closed = dict.fromkeys(m | 1 << w for w, m in enumerate(D.out_masks))
+    return ColoredGraph._from_masks(D.n, (1,) * D.n, scatter(zip(closed, closed), D.n))
 
 
 def pow_from_dpow(D: ColoredDiGraph) -> ColoredGraph:

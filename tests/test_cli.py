@@ -1,12 +1,20 @@
+import io
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgk import graph_core
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.cli import main
 from pgk.graph_core import format_graph, load_graph
-from pgk.group_core import cyclic_group, direct_product
+from pgk.group_core import (
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    quaternion_group,
+)
 from pgk.powergraph_build import (
     directed_power_graph,
     enhanced_power_graph,
@@ -20,7 +28,7 @@ from pgk.reconstruction import (
     r4_from_marked_graph,
 )
 
-from helpers import s3_cayley_text, save_graph
+from helpers import s3_cayley_text, save_graph, small_digraphs, small_graphs
 
 
 def run(*argv):
@@ -346,3 +354,60 @@ class TestVerify:
         assert run("verify", str(path), "--kind", "pow") == 0
         monkeypatch.setattr(graph_core, "ISO_CAP_DEFAULT", 5)
         assert run("verify", str(path), "--kind", "pow") == 5
+
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 4, 5}  # 3 is an I/O error
+TOTALITY_GROUPS = [
+    cyclic_group(6),
+    cyclic_group(8),
+    direct_product(cyclic_group(2), cyclic_group(2)),
+    direct_product(cyclic_group(2), cyclic_group(4)),
+    quaternion_group(),
+    dihedral_group(4),
+]
+
+
+@st.composite
+def cli_inputs(draw):
+    """A random graph or digraph on at most 9 vertices, or the Pow, EPow or
+    DPow of a small group with 1-3 of its edges or arcs flipped."""
+    if draw(st.booleans()):
+        return draw(small_graphs(9) | small_digraphs(9))
+    G = draw(st.sampled_from(TOTALITY_GROUPS))
+    builders = [power_graph, enhanced_power_graph, directed_power_graph]
+    build = draw(st.sampled_from(builders))
+    X, n = build(G), G.order
+    directed = build is directed_power_graph
+    flips = set()
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.integers(0, n - 1))
+        v = (u + draw(st.integers(0 if directed else 1, n - 1))) % n
+        flips.add((u, v) if directed else (min(u, v), max(u, v)))
+    pairs = X.arcs if directed else X.edges
+    return type(X)(n, X.colors, pairs ^ flips)
+
+
+@pytest.fixture(scope="module")
+def totality_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("totality")
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_inputs(), cli_inputs(), st.booleans())
+def test_every_call_returns_a_documented_exit_code(totality_dir, X, Y, with_colors):
+    a, b, out = (str(totality_dir / name) for name in ("a", "b", "out"))
+    save_graph(X, a, with_colors)
+    save_graph(Y, b, with_colors)
+    kinds = ("pow", "epow")
+    stages = ("r4", "r3", "r2", "r1", "cdpow", "dpow")
+    argvs = [["detect", a, "--kind", k] for k in kinds]
+    argvs += [
+        ["reconstruct", a, "--kind", k, "--out", out, "--emit-stage", stage]
+        for k in kinds
+        for stage in stages
+    ]
+    argvs += [["iso", a, b, "--kind", k] for k in kinds + ("dpow",)]
+    argvs += [["verify", a, "--kind", k] for k in kinds]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for argv in argvs:
+            assert main(argv) in DOCUMENTED_EXIT_CODES, argv

@@ -18,6 +18,7 @@ from pgk.graph_core import (
     reach,
     relabel,
     scatter,
+    transpose,
 )
 from pgk.group_core import cyclic_group
 from pgk.powergraph_build import (
@@ -137,14 +138,25 @@ def test_malformed_texts_accepted_and_rejected_as_by_reference(text, chunk):
         )
 
 
+def flipped(line: str) -> str:
+    return " ".join(reversed(line.split()))
+
+
 @st.composite
-def digraph_texts(draw):
-    """format_graph's text of a digraph, some with their arc lines
+def written_texts(draw):
+    """format_graph's text of a graph or a digraph, some with their lines
     shuffled, some lines duplicated, some lines ended by \\r\\n, or one
-    line missing an id."""
-    D = draw(small_digraphs(12))
-    header, colors, *arcs = format_graph(D, draw(st.booleans())).splitlines()
+    line missing an id.  An undirected text also has some lines written
+    "v u", some edges written both ways and, now and then, a "v v" line."""
+    X = draw(small_graphs(12) | small_digraphs(12))
+    header, colors, *arcs = format_graph(X, draw(st.booleans())).splitlines()
     rng = draw(st.randoms(use_true_random=False))
+    if isinstance(X, ColoredGraph):
+        arcs = [flipped(ln) if rng.random() < 0.3 else ln for ln in arcs]
+        arcs += [flipped(ln) for ln in arcs if rng.random() < 0.2]
+        if draw(st.integers(0, 9)) == 0:
+            v = rng.randrange(X.n)
+            arcs.insert(rng.randrange(len(arcs) + 1), f"{v} {v}")
     if draw(st.booleans()):
         rng.shuffle(arcs)
     if arcs and draw(st.booleans()):
@@ -159,8 +171,8 @@ def digraph_texts(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(digraph_texts(), st.sampled_from([1, 16, 64, 1 << 16]))
-def test_digraph_texts_read_as_by_reference(text, chunk):
+@given(written_texts(), st.sampled_from([1, 16, 64, 1 << 16]))
+def test_written_texts_read_as_by_reference(text, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_core, "_CHUNK", chunk)
         assert parse_outcome(parse_graph, text) == parse_outcome(
@@ -193,29 +205,26 @@ def lines_read_one_at_a_time(monkeypatch) -> list[str]:
     return read
 
 
-def test_written_digraph_read_line_by_line_only_where_needed(monkeypatch):
-    D = directed_power_graph(cyclic_group(240))
-    text = format_graph(D)
+@pytest.mark.parametrize(
+    "build", [power_graph, directed_power_graph], ids=["pow", "dpow"]
+)
+def test_written_graph_read_line_by_line_only_where_needed(monkeypatch, build):
+    X = build(cyclic_group(240))
+    text = format_graph(X)
     chunks = list(graph_core._chunks(text))
     assert len(chunks) > 2
     read = lines_read_one_at_a_time(monkeypatch)
-    assert parse_graph(text) == D
+    assert parse_graph(text) == X
     assert read == []
     # a \r\n sends its chunk, and only that chunk, to the per-line reader
     for i in (0, 2):
         spelled = chunks[:i] + [chunks[i].replace("\n", "\r\n", 3)] + chunks[i + 1 :]
+        spelled = "".join(spelled)
         read.clear()
-        assert parse_graph("".join(spelled)) == D
-        lines = spelled[i].splitlines()
+        assert parse_graph(spelled) == X
+        # the longer chunk may end a line early, so cut the text anew
+        lines = list(graph_core._chunks(spelled))[i].splitlines()
         assert read == (lines[2:] if i == 0 else lines)
-
-
-def test_undirected_text_read_line_by_line(monkeypatch):
-    X = power_graph(cyclic_group(240))
-    text = format_graph(X)
-    read = lines_read_one_at_a_time(monkeypatch)
-    assert parse_graph(text) == X
-    assert list(map(str.strip, read)) == text.splitlines()[2:]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -262,6 +271,19 @@ def test_reach_is_the_connected_component(X):
             component |= fresh
             todo += fresh
         assert set(bits(reach(X.masks, v))) == component
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=8))
+def test_transpose_reverses_each_arc(masks):
+    n = len(masks)
+    masks = [m & (1 << n) - 1 for m in masks]
+    expected = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if masks[u] >> v & 1:
+                expected[v] |= 1 << u
+    assert transpose(masks) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -45,6 +45,7 @@ from helpers import (
     make_rng,
     random_relabel,
     reduce_r4,
+    small_digraphs,
     small_graphs,
 )
 
@@ -352,10 +353,41 @@ class TestCheckDpow:
 
     def test_rejects_shadow_edge_count_for_pow_only(self):
         D = ColoredDiGraph(2, (1, 1), frozenset({(0, 0), (1, 1)}))
-        with pytest.raises(PipelineError, match="0 edges"):
+        with pytest.raises(PipelineError, match="shadow has 2 vertices of degree 0"):
             check_dpow(self.K2, D, "pow")
-        with pytest.raises(PipelineError):
+        with pytest.raises(PipelineError, match="graph has 2 vertices of degree 0"):
             check_dpow(self.K2, D, "epow")
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(8), small_digraphs(8), st.sampled_from(["any", "pow", "epow"]))
+    def test_one_degree_comparison_rejects_as_the_separate_checks(self, Gamma, D, src):
+        n = min(Gamma.n, D.n)
+        Gamma, D = (induced_subgraph(X, range(n))[0] for X in (Gamma, D))
+        if src != "any":  # an input that D's pow (epow) check passes
+            Gamma = (pow_from_dpow if src == "pow" else epow_from_dpow)(D)
+        # the separate checks, from the definitions: the shadow's edge
+        # count and degree multiset for pow, EPow's degree multiset for epow
+        closed = [D.out_masks[w] | 1 << w for w in range(n)]
+        shadow = [
+            sum(v != u and (D.has_arc(u, v) or D.has_arc(v, u)) for v in range(n))
+            for u in range(n)
+        ]
+        epow = [
+            sum(v != u and any(c >> u & c >> v & 1 for c in closed) for v in range(n))
+            for u in range(n)
+        ]
+        degrees = Counter(Gamma.degree(u) for u in range(n))
+        passes = {
+            "pow": D.n == Gamma.n
+            and sum(shadow) // 2 == len(Gamma.edges)
+            and Counter(shadow) == degrees,
+            "epow": D.n == Gamma.n and Counter(epow) == degrees,
+        }
+        for kind, ok in passes.items():
+            try:
+                assert check_dpow(Gamma, D, kind) is D and ok
+            except PipelineError:
+                assert not ok
 
     def test_rejects_unknown_kind(self):
         # an edgeless D would pass unchecked if an unknown kind fell through
