@@ -121,30 +121,30 @@ def _marker(kind):
     return mark_ccg_power if kind == "pow" else mark_ccg_enhanced
 
 
+def _stages(graph, kind) -> dict:
+    """Every stage's output on graph by name, from the CCG marking to the
+    checked CDPow ("dpow" too: it is the CDPow written without colors).
+    Each runs, so no stage is printed or written unless reconstruction
+    accepts graph.  The stages are looked up in this module when they run."""
+    out = {"marking": _marker(kind)(graph)}
+    out["r4"] = r4_from_marked_graph(graph, out["marking"])
+    out["r3"] = r3_from_r4(out["r4"])
+    out["r2"] = r2_from_r3(out["r3"])
+    out["r1"] = r1_from_r2(out["r2"])
+    out["cdpow"] = out["dpow"] = check_dpow(graph, cdpow_from_r1(out["r1"]), kind)
+    return out
+
+
 def _detect(args) -> int:
     graph = _load_undirected(args.input, "detect")
-    marking = _marker(args.kind)(graph)
-    for v in marking.cc_vertices:
+    for v in _stages(graph, args.kind)["marking"].cc_vertices:
         print(f"{v} {graph.degree(v) + 1}")
     return EXIT_OK
 
 
 def _reconstruct(args) -> int:
     graph = _load_undirected(args.input, "reconstruct")
-    # built per call, so each stage is looked up in this module when it runs
-    stages = (
-        ("r4", lambda g: r4_from_marked_graph(g, _marker(args.kind)(g))),
-        ("r3", r3_from_r4),
-        ("r2", r2_from_r3),
-        ("r1", r1_from_r2),
-        # "dpow" is cdpow written without colors
-        ("cdpow", lambda r1: check_dpow(graph, cdpow_from_r1(r1), args.kind)),
-    )
-    out = graph
-    for name, stage in stages:
-        out = stage(out)
-        if name == args.emit_stage:
-            break
+    out = _stages(graph, args.kind)[args.emit_stage]
     if args.emit_stage == "r4":
         out = out.to_colored_graph()
     with open(args.out, "w", encoding="utf-8") as fh:

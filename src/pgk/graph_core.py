@@ -13,14 +13,15 @@ everywhere.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, count, groupby, islice
+from itertools import chain, compress, count, islice
 from operator import itemgetter, or_
 
 from .errors import GraphFormatError, SizeCapError
-from .group_core import MAX_GROUP_ORDER
+from .group_core import MAX_GROUP_ORDER, open_text
 
 __all__ = [
     "ColoredGraph",
@@ -396,7 +397,9 @@ def format_graph(X, with_colors: bool = True) -> str:
 
 
 _CHUNK = 1 << 16
-_DIGITS = b"0123456789"
+# a run of "u v" lines with one head u, as written: group 2 is the run
+# less its first head
+_RUN = re.compile(r"([0-9]+) ([0-9]+\n(?:\1 [0-9]+\n)*+)")
 
 
 def _chunks(text: str):
@@ -412,8 +415,10 @@ def _chunks(text: str):
 def parse_graph(text: str):
     """Read format_graph's text into masks a chunk at a time, by _read_runs
     where a chunk allows it, else by _read_lines.  Both kinds' lines are
-    read as arcs; an undirected graph's are then symmetrised once.  A
-    vertex count above MAX_GROUP_ORDER is refused before any is built."""
+    read as arcs; an undirected graph's are then symmetrised once.  One
+    dict of the tails texts read so far, dropped when the parse ends,
+    serves every chunk, so each distinct row is reduced to a mask once.
+    A vertex count above MAX_GROUP_ORDER is refused before any is built."""
     chunks = _chunks(text)
     top, lines = [], iter(())  # lines: the unread lines of the chunk in hand
     while len(top) < 2 and (chunk := next(chunks, None)) is not None:
@@ -454,8 +459,9 @@ def parse_graph(text: str):
     index = {str(v): v for v in range(n)}
     bit = {s: 1 << v for s, v in index.items()}
     masks = [0] * n
+    seen: dict[str, int] = {}
     for chunk in chain(["".join(lines)], chunks):
-        if not _read_runs(chunk, index, bit, masks):
+        if not _read_runs(chunk, index, bit, seen, masks):
             _read_lines(chunk.splitlines(), index, masks, directed)
     if directed:
         return ColoredDiGraph._from_masks(n, colors, masks)
@@ -483,24 +489,27 @@ def _read_lines(lines, index, masks, directed) -> None:
         masks[u] |= 1 << v
 
 
-def _read_runs(chunk, index, bit, masks) -> bool:
+def _read_runs(chunk, index, bit, seen, masks) -> bool:
     """OR a chunk's arcs into masks and return True if every line
     is "u v\n" with u and v keys of index (bit[s] is 1 << index[s]);
-    otherwise leave masks alone and return False.  One str.split reads
-    the chunk, and each run of lines with equal heads costs one OR."""
-    k = chunk.count("\n")
-    if not chunk.isascii() or chunk.encode().translate(None, _DIGITS) != b" \n" * k:
-        return False
-    tokens = chunk.split()
-    if len(tokens) != 2 * k:
-        return False  # an empty id
-    tails = map(bit.__getitem__, tokens[1::2])
+    otherwise leave masks alone and return False.  Each run of lines
+    with equal heads is one _RUN match, and the matches must tile the
+    chunk.  A run's tails text maps to its mask through seen, so a row
+    read before in this parse (a twin's) costs one lookup."""
+    runs, end = [], 0
     try:
-        runs = [
-            (index[u], reduce(or_, islice(tails, len(list(run)))))
-            for u, run in groupby(tokens[0::2])
-        ]
+        for run in _RUN.finditer(chunk):
+            if run.start() != end:
+                return False
+            end = run.end()
+            u, body = run.groups()
+            tails = body.replace("\n" + u + " ", "\n")
+            if (m := seen.get(tails)) is None:
+                m = seen[tails] = reduce(or_, map(bit.__getitem__, tails.split()))
+            runs.append((index[u], m))
     except KeyError:
+        return False
+    if end != len(chunk):
         return False
     for u, m in runs:
         masks[u] |= m
@@ -521,5 +530,6 @@ def _edge_ends(ln: str, n: int, directed: bool):
 
 
 def load_graph(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    with open_text(path, GraphFormatError) as fh:
+        text = fh.read()
+    return parse_graph(text)

@@ -9,6 +9,7 @@ immutable.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -243,6 +244,20 @@ def group_from_cayley_table(table) -> FiniteGroup:
     return FiniteGroup(table)
 
 
+@contextmanager
+def open_text(path, error):
+    """path opened as UTF-8 text; a byte that does not decode raises
+    error, naming path and the byte's offset in the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # exc.object is the bytes decoded last, which end at the
+            # buffer's position
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise error(f"{path}: byte {at} is not UTF-8") from None
+
+
 def _cayley_order(fh, path) -> int:
     """Read a Cayley-table file's order line (its first non-empty line),
     refusing an order above MAX_GROUP_ORDER."""
@@ -261,7 +276,7 @@ def _cayley_order(fh, path) -> int:
 def load_cayley_file(path) -> FiniteGroup:
     """Cayley-table file: line 1 is n, then n lines of n entries.  An
     order above MAX_GROUP_ORDER is refused before any row is read."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CayleyTableError) as fh:
         n = _cayley_order(fh, path)
         rows = [ln for ln in map(str.strip, fh) if ln]
     if len(rows) != n:
@@ -308,7 +323,7 @@ def parse_group_spec(text: str) -> FiniteGroup:
             path = text[pos + 5 :]
             if not path:
                 raise GroupSpecError("file: term with empty path", pos)
-            with open(path, encoding="utf-8") as fh:
+            with open_text(path, CayleyTableError) as fh:
                 term_order = _cayley_order(fh, path)
             build, end = partial(load_cayley_file, path), len(text)
         else:

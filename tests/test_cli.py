@@ -273,6 +273,35 @@ class TestReconstruct:
         assert run(command, str(src), "--kind", "epow", *extra) == 4
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a parse error that names the file and
+    the byte's offset in it, under every command that reads a file."""
+
+    @pytest.mark.parametrize("command", ["detect", "reconstruct", "iso", "verify"])
+    def test_graph_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.graph"
+        text = format_graph(power_graph(cyclic_group(12)), with_colors=False).encode()
+        at = len(text) - 4
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        files = [str(path)] * (2 if command == "iso" else 1)
+        extra = ["--out", str(tmp_path / "o")] if command == "reconstruct" else []
+        assert run(command, *files, "--kind", "pow", *extra) == 2
+        assert f"{path}: byte {at} is not UTF-8" in capsys.readouterr().err
+
+    # the order line is read first, from the file's first block; the rows
+    # after it, from later blocks
+    @pytest.mark.parametrize("at", [1, 20_000])
+    def test_cayley_table_file_exit_2(self, tmp_path, capsys, at):
+        path = tmp_path / "bad.cayley"
+        rows = cyclic_group(100).table
+        text = ("100\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)).encode()
+        assert len(text) > at
+        path.write_bytes(text[:at] + "é".encode() + b"\xff" + text[at:])
+        out = str(tmp_path / "o")
+        assert run("generate", f"file:{path}", "--kind", "pow", "--out", out) == 2
+        assert f"{path}: byte {at + 2} is not UTF-8" in capsys.readouterr().err
+
+
 class TestIso:
     def _write(self, tmp_path, name, graph, with_colors=False):
         path = tmp_path / name
@@ -409,5 +438,12 @@ def test_every_call_returns_a_documented_exit_code(totality_dir, X, Y, with_colo
     argvs += [["iso", a, b, "--kind", k] for k in kinds + ("dpow",)]
     argvs += [["verify", a, "--kind", k] for k in kinds]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        for argv in argvs:
-            assert main(argv) in DOCUMENTED_EXIT_CODES, argv
+        codes = {tuple(argv): main(argv) for argv in argvs}
+    for argv, code in codes.items():
+        assert code in DOCUMENTED_EXIT_CODES, argv
+    # detect and every emitted stage answer only where reconstruction does
+    for k in kinds:
+        rebuilt = codes["reconstruct", a, "--kind", k, "--out", out, "--emit-stage", "dpow"]
+        for argv, code in codes.items():
+            if argv[0] in ("detect", "reconstruct") and argv[3] == k and code == 0:
+                assert rebuilt == 0, argv

@@ -3,6 +3,8 @@ expansion, which read and write the stored bitmasks, agree exactly with
 the edge-tuple references in helpers; and no CLI path builds the edge or
 arc views."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,7 @@ from pgk.graph_core import (
     scatter,
     transpose,
 )
-from pgk.group_core import cyclic_group
+from pgk.group_core import cyclic_group, direct_product, quaternion_group
 from pgk.powergraph_build import (
     directed_power_graph,
     enhanced_power_graph,
@@ -142,13 +144,32 @@ def flipped(line: str) -> str:
     return " ".join(reversed(line.split()))
 
 
+DPOWS = [
+    directed_power_graph(G)
+    for G in (
+        cyclic_group(12),
+        cyclic_group(16),
+        quaternion_group(),
+        direct_product(cyclic_group(2), cyclic_group(6)),
+    )
+]
+
+
+@st.composite
+def relabelled_dpows(draw):
+    """A relabelled DPow of a small group: its twins write equal rows."""
+    X = draw(st.sampled_from(DPOWS))
+    return relabel(X, draw(st.permutations(range(X.n))))
+
+
 @st.composite
 def written_texts(draw):
-    """format_graph's text of a graph or a digraph, some with their lines
-    shuffled, some lines duplicated, some lines ended by \\r\\n, or one
-    line missing an id.  An undirected text also has some lines written
-    "v u", some edges written both ways and, now and then, a "v v" line."""
-    X = draw(small_graphs(12) | small_digraphs(12))
+    """format_graph's text of a graph, a digraph or a relabelled DPow,
+    some with their lines shuffled, some lines duplicated, some lines
+    ended by \\r\\n, or one line missing an id.  An undirected text also
+    has some lines written "v u", some edges written both ways and, now
+    and then, a "v v" line."""
+    X = draw(small_graphs(12) | small_digraphs(12) | relabelled_dpows())
     header, colors, *arcs = format_graph(X, draw(st.booleans())).splitlines()
     rng = draw(st.randoms(use_true_random=False))
     if isinstance(X, ColoredGraph):
@@ -185,10 +206,40 @@ def test_runs_reader_leaves_masks_alone_when_it_declines():
     bit = {s: 1 << v for s, v in index.items()}
     masks = [0, 0, 0]
     for chunk in ("0 1\n1 2\n2 01\n", "0 1\n2 3\n", "0 1\n 2\n", "0 1\n2 1"):
-        assert not graph_core._read_runs(chunk, index, bit, masks)
+        assert not graph_core._read_runs(chunk, index, bit, {}, masks)
         assert masks == [0, 0, 0]
-    assert graph_core._read_runs("0 1\n0 2\n0 1\n2 0\n0 1\n", index, bit, masks)
+    assert graph_core._read_runs("0 1\n0 2\n0 1\n2 0\n0 1\n", index, bit, {}, masks)
     assert masks == [0b110, 0, 0b001]
+
+
+def test_runs_reader_declines_a_row_read_before_under_a_bad_head():
+    index = {str(v): v for v in range(3)}
+    bit = {s: 1 << v for s, v in index.items()}
+    masks, seen = [0, 0, 0], {}
+    for chunk in ("0 1\n0 2\n01 1\n01 2\n", "0 1\n0 2\n3 1\n3 2\n"):
+        assert not graph_core._read_runs(chunk, index, bit, seen, masks)
+        assert masks == [0, 0, 0]
+    assert seen == {"1\n2\n": 0b110}
+    # the row is known now, under a valid head and then a bad one
+    assert graph_core._read_runs("1 1\n1 2\n", index, bit, seen, masks)
+    assert not graph_core._read_runs("01 1\n01 2\n", index, bit, seen, masks)
+    assert masks == [0, 0b110, 0]
+
+
+def test_twin_rows_reduced_once(monkeypatch):
+    X = directed_power_graph(cyclic_group(240))
+    text = format_graph(X)
+    monkeypatch.setattr(graph_core, "_CHUNK", len(text) + 1)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return reduce(*args)
+
+    monkeypatch.setattr(graph_core, "reduce", counting)
+    assert parse_graph(text) == X
+    # one reduction per cyclic subgroup: Z240 has one per divisor of 240
+    assert len(calls) == len(set(X.out_masks)) == 20
 
 
 def lines_read_one_at_a_time(monkeypatch) -> list[str]:
