@@ -117,16 +117,13 @@ def _load_undirected(path, command):
     return graph
 
 
-def _marker(kind):
-    return mark_ccg_power if kind == "pow" else mark_ccg_enhanced
-
-
 def _stages(graph, kind) -> dict:
     """Every stage's output on graph by name, from the CCG marking to the
     checked CDPow ("dpow" too: it is the CDPow written without colors).
     Each runs, so no stage is printed or written unless reconstruction
     accepts graph.  The stages are looked up in this module when they run."""
-    out = {"marking": _marker(kind)(graph)}
+    mark = mark_ccg_power if kind == "pow" else mark_ccg_enhanced
+    out = {"marking": mark(graph)}
     out["r4"] = r4_from_marked_graph(graph, out["marking"])
     out["r3"] = r3_from_r4(out["r4"])
     out["r2"] = r2_from_r3(out["r3"])
