@@ -399,7 +399,7 @@ def format_graph(X, with_colors: bool = True) -> str:
 _CHUNK = 1 << 16
 # a run of "u v" lines with one head u, as written: group 2 is the run
 # less its first head
-_RUN = re.compile(r"([0-9]+) ([0-9]+\n(?:\1 [0-9]+\n)*+)")
+_RUN = re.compile(r"([0-9]+) ([0-9]+\n(?:\1 [0-9]+\n)*)")
 
 
 def _chunks(text: str):
