@@ -110,11 +110,16 @@ def _generate(args) -> int:
     return EXIT_OK
 
 
+def _uncolored(graph):
+    """graph with every color 1: an undirected input's colors are ignored."""
+    return ColoredGraph._from_masks(graph.n, (1,) * graph.n, graph.masks)
+
+
 def _load_undirected(path, command):
     graph = load_graph(path)
     if not isinstance(graph, ColoredGraph):
         raise GraphFormatError(f"{command} expects an undirected graph file")
-    return graph
+    return _uncolored(graph)
 
 
 def _stages(graph, kind) -> dict:
@@ -159,6 +164,8 @@ def _iso(args) -> int:
                 f"kind {args.kind} expects "
                 f"{'directed' if want_directed else 'undirected'} graph files"
             )
+    if not want_directed:
+        g1, g2 = _uncolored(g1), _uncolored(g2)
     if graph_iso_nilpotent(g1, g2, args.kind):
         print("isomorphic")
         return EXIT_OK
@@ -174,8 +181,7 @@ def _verify(args) -> int:
     else:
         dpow = dpow_from_enhanced_graph(graph)
         back = epow_from_dpow(dpow)
-    uncolored = ColoredGraph._from_masks(graph.n, (1,) * graph.n, graph.masks)
-    mapping = brute_force_color_iso(uncolored, back, cap=args.cap)
+    mapping = brute_force_color_iso(graph, back, cap=args.cap)
     if mapping is None:
         print("inconsistent: reconstruction does not match the input")
         return EXIT_NEGATIVE

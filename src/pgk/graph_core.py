@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, count, islice
+from itertools import compress, count, islice
 from operator import itemgetter, or_
 
 from .errors import GraphFormatError, SizeCapError
@@ -396,33 +396,25 @@ def format_graph(X, with_colors: bool = True) -> str:
     return "\n".join(lines)
 
 
-_CHUNK = 1 << 16
-# a run of "u v" lines with one head u, as written: group 2 is the run
-# less its first head
-_RUN = re.compile(r"([0-9]+) ([0-9]+\n(?:\1 [0-9]+\n)*)")
-
-
-def _chunks(text: str):
-    """text in pieces of about _CHUNK characters, each cut just after a
-    newline, so str.splitlines splits the pieces as it splits text."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield text[start:end]
-        start = end
+# one piece of graph-file text: a run of "u v" lines with one head u, as
+# written (group 2 is the run less its first head), or else one line
+# with its "\n"
+_PIECE = re.compile(r"([0-9]+) ([0-9]+\n(?:\1 [0-9]+\n)*)|[^\n]*\n?")
 
 
 def parse_graph(text: str):
-    """Read format_graph's text into masks a chunk at a time, by _read_runs
-    where a chunk allows it, else by _read_lines.  Both kinds' lines are
-    read as arcs; an undirected graph's are then symmetrised once.  One
-    dict of the tails texts read so far, dropped when the parse ends,
-    serves every chunk, so each distinct row is reduced to a mask once.
-    A vertex count above MAX_GROUP_ORDER is refused before any is built."""
-    chunks = _chunks(text)
-    top, lines = [], iter(())  # lines: the unread lines of the chunk in hand
-    while len(top) < 2 and (chunk := next(chunks, None)) is not None:
-        lines = iter(chunk.splitlines(keepends=True))
+    """Read format_graph's text into masks in one pass of _PIECE matches:
+    a run by one dict lookup per id, any other piece, or a run with an id
+    not spelled as str(v), by _read_lines.  Pieces end at "\n", so they
+    split into the lines str.splitlines gives for the whole text.  Both
+    kinds' lines are read as arcs; an undirected graph's are then
+    symmetrised once.  A per-parse dict of tails texts reduces each
+    distinct row to a mask once.  A vertex count above MAX_GROUP_ORDER is
+    refused before any is built."""
+    pieces = _PIECE.finditer(text)
+    top, lines = [], iter(())  # lines: the unread lines of the piece in hand
+    while len(top) < 2 and (piece := next(pieces, None)) is not None:
+        lines = iter(piece[0].splitlines(keepends=True))
         top += islice(filter(str.strip, lines), 2 - len(top))
     if not top:
         raise GraphFormatError("empty graph file")
@@ -460,9 +452,18 @@ def parse_graph(text: str):
     bit = {s: 1 << v for s, v in index.items()}
     masks = [0] * n
     seen: dict[str, int] = {}
-    for chunk in chain(["".join(lines)], chunks):
-        if not _read_runs(chunk, index, bit, seen, masks):
-            _read_lines(chunk.splitlines(), index, masks, directed)
+    _read_lines(lines, index, masks, directed)
+    for piece in pieces:
+        if (u := piece[1]) is not None:  # a run: each distinct row is reduced once
+            tails = piece[2].replace("\n" + u + " ", "\n")
+            try:
+                if (m := seen.get(tails)) is None:
+                    m = seen[tails] = reduce(or_, map(bit.__getitem__, tails.split()))
+                masks[index[u]] |= m
+                continue
+            except KeyError:  # an id not spelled as str(v)
+                pass
+        _read_lines(piece[0].splitlines(), index, masks, directed)
     if directed:
         return ColoredDiGraph._from_masks(n, colors, masks)
     for v, m in enumerate(masks):  # the lines were read as arcs: no loops
@@ -474,7 +475,6 @@ def parse_graph(text: str):
 
 def _read_lines(lines, index, masks, directed) -> None:
     """OR arc lines into masks one at a time, in any accepted spelling."""
-    n = len(masks)
     for ln in lines:
         try:
             a, b = ln.split()
@@ -485,35 +485,8 @@ def _read_lines(lines, index, masks, directed) -> None:
         try:
             u, v = index[a], index[b]
         except KeyError:
-            u, v = _edge_ends(ln, n, directed)
+            u, v = _edge_ends(ln, len(masks), directed)
         masks[u] |= 1 << v
-
-
-def _read_runs(chunk, index, bit, seen, masks) -> bool:
-    """OR a chunk's arcs into masks and return True if every line
-    is "u v\n" with u and v keys of index (bit[s] is 1 << index[s]);
-    otherwise leave masks alone and return False.  Each run of lines
-    with equal heads is one _RUN match, and the matches must tile the
-    chunk.  A run's tails text maps to its mask through seen, so a row
-    read before in this parse (a twin's) costs one lookup."""
-    runs, end = [], 0
-    try:
-        for run in _RUN.finditer(chunk):
-            if run.start() != end:
-                return False
-            end = run.end()
-            u, body = run.groups()
-            tails = body.replace("\n" + u + " ", "\n")
-            if (m := seen.get(tails)) is None:
-                m = seen[tails] = reduce(or_, map(bit.__getitem__, tails.split()))
-            runs.append((index[u], m))
-    except KeyError:
-        return False
-    if end != len(chunk):
-        return False
-    for u, m in runs:
-        masks[u] |= m
-    return True
 
 
 def _edge_ends(ln: str, n: int, directed: bool):

@@ -260,14 +260,16 @@ def open_text(path, error):
 
 def _cayley_order(fh, path) -> int:
     """Read a Cayley-table file's order line (its first non-empty line),
-    refusing an order above MAX_GROUP_ORDER."""
+    refusing an order below 1 or above MAX_GROUP_ORDER."""
     first = next((ln for ln in map(str.strip, fh) if ln), None)
     if first is None:
         raise CayleyTableError(f"{path}: empty file")
     try:
         n = int(first)
     except ValueError:
-        raise CayleyTableError(f"{path}: bad order line {first!r}") from None
+        n = 0
+    if n < 1:
+        raise CayleyTableError(f"{path}: bad order line {first!r}")
     if n > MAX_GROUP_ORDER:
         raise CayleyTableError(f"{path}: order {n} exceeds maximum {MAX_GROUP_ORDER}")
     return n

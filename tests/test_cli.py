@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgk import graph_core
+from pgk import graph_core, group_core
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.cli import main
 from pgk.graph_core import format_graph, load_graph
@@ -13,6 +13,7 @@ from pgk.group_core import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    parse_group_spec,
     quaternion_group,
 )
 from pgk.powergraph_build import (
@@ -28,7 +29,7 @@ from pgk.reconstruction import (
     r4_from_marked_graph,
 )
 
-from helpers import s3_cayley_text, save_graph, small_digraphs, small_graphs
+from helpers import make_rng, s3_cayley_text, save_graph, small_digraphs, small_graphs
 
 
 def run(*argv):
@@ -79,6 +80,17 @@ class TestGenerate:
     def test_spec_parameter_past_int_digit_limit_exit_2(self, tmp_path):
         spec = "Z" + "9" * 5000
         assert run("generate", spec, "--kind", "pow", "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("order", ["-1", "0"])
+    def test_order_line_below_one_exit_2(self, tmp_path, capsys, monkeypatch, order):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{order}\n")
+        # refused before any factor is built
+        monkeypatch.setattr(group_core, "dihedral_group", None)
+        out = str(tmp_path / "o")
+        for spec in (f"file:{path}", f"D1000xfile:{path}"):
+            assert run("generate", spec, "--kind", "pow", "--out", out) == 2
+            assert f"{path}: bad order line '{order}'" in capsys.readouterr().err
 
     def test_io_error_exit_3(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.graph"
@@ -271,6 +283,45 @@ class TestReconstruct:
         )
         extra = ["--out", str(tmp_path / "o.graph")] if command == "reconstruct" else []
         assert run(command, str(src), "--kind", "epow", *extra) == 4
+
+
+def outcomes(tmp_path, path):
+    """Exit code, stdout and written bytes of every command that reads
+    path as a power graph."""
+    out = tmp_path / "out"
+    argvs = [["detect", path], ["verify", path], ["iso", path, path]]
+    argvs += [["reconstruct", path, "--out", str(out), "--emit-stage", stage]
+              for stage in ("r4", "r3", "r2", "r1", "cdpow", "dpow")]
+    seen = []
+    for argv in argvs:
+        out.unlink(missing_ok=True)
+        stdout = io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            code = main(argv + ["--kind", "pow"])
+        written = out.read_bytes() if out.exists() else None
+        seen.append((argv[0], code, stdout.getvalue(), written))
+    return seen
+
+
+class TestColoredUndirectedInput:
+    """An undirected input's colors line is ignored: element-order and
+    random colors give what nocolors gives, under every command."""
+
+    @pytest.mark.parametrize(
+        "spec", ["Z12", "Q8xZ3", "D6", "Z2xZ6", "Q8xZ15", "D45xZ7", "Z360"]
+    )
+    def test_colors_line_ignored(self, tmp_path, spec):
+        plain = tmp_path / "plain.graph"
+        assert run("generate", spec, "--kind", "pow", "--out", str(plain)) == 0
+        header, _, edges = plain.read_text().split("\n", 2)
+        orders = sorted(parse_group_spec(spec).element_orders)  # as generate labels
+        rng = make_rng(len(orders))
+        expected = outcomes(tmp_path, str(plain))
+        for colors in (orders, [rng.randint(1, 12) for _ in orders]):
+            colored = tmp_path / "colored.graph"
+            line = "colors " + " ".join(map(str, colors))
+            colored.write_text(f"{header}\n{line}\n{edges}")
+            assert outcomes(tmp_path, str(colored)) == expected
 
 
 class TestNonUtf8Input:

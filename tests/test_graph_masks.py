@@ -131,13 +131,9 @@ def parse_outcome(parse, text):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(graph_texts(), st.sampled_from([1, 3, 1 << 16]))
-def test_malformed_texts_accepted_and_rejected_as_by_reference(text, chunk):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "_CHUNK", chunk)
-        assert parse_outcome(parse_graph, text) == parse_outcome(
-            reference_parse_graph, text
-        )
+@given(graph_texts())
+def test_malformed_texts_accepted_and_rejected_as_by_reference(text):
+    assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
 
 
 def flipped(line: str) -> str:
@@ -192,44 +188,48 @@ def written_texts(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(written_texts(), st.sampled_from([1, 16, 64, 1 << 16]))
-def test_written_texts_read_as_by_reference(text, chunk):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "_CHUNK", chunk)
-        assert parse_outcome(parse_graph, text) == parse_outcome(
-            reference_parse_graph, text
-        )
+@given(written_texts())
+def test_written_texts_read_as_by_reference(text):
+    assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_texts() | written_texts() | st.text(st.sampled_from("01 2\n\r\x0b\x85a")))
+def test_pieces_tile_the_text(text):
+    pieces = list(graph_core._PIECE.finditer(text))
+    assert "".join(piece[0] for piece in pieces) == text
+    for piece in pieces:
+        if piece[1] is None:  # one line, its "\n" last
+            assert "\n" not in piece[0][:-1]
+        else:  # a run: "u v" lines with one head
+            assert {ln.split(" ")[0] for ln in piece[0].splitlines()} == {piece[1]}
 
 
 def test_runs_reader_leaves_masks_alone_when_it_declines():
-    index = {str(v): v for v in range(3)}
-    bit = {s: 1 << v for s, v in index.items()}
-    masks = [0, 0, 0]
-    for chunk in ("0 1\n1 2\n2 01\n", "0 1\n2 3\n", "0 1\n 2\n", "0 1\n2 1"):
-        assert not graph_core._read_runs(chunk, index, bit, {}, masks)
-        assert masks == [0, 0, 0]
-    assert graph_core._read_runs("0 1\n0 2\n0 1\n2 0\n0 1\n", index, bit, {}, masks)
-    assert masks == [0b110, 0, 0b001]
+    # a run with an odd line or id is read line by line, as by the reference
+    for edges in ("0 1\n1 2\n2 01\n", "0 1\n2 3\n", "0 1\n 2\n", "0 1\n2 1"):
+        text = "digraph 3\nnocolors\n" + edges
+        assert parse_outcome(parse_graph, text) == parse_outcome(
+            reference_parse_graph, text
+        )
+    D = parse_graph("digraph 3\nnocolors\n0 1\n0 2\n0 1\n2 0\n0 1\n")
+    assert D.out_masks == (0b110, 0, 0b001)
 
 
 def test_runs_reader_declines_a_row_read_before_under_a_bad_head():
-    index = {str(v): v for v in range(3)}
-    bit = {s: 1 << v for s, v in index.items()}
-    masks, seen = [0, 0, 0], {}
-    for chunk in ("0 1\n0 2\n01 1\n01 2\n", "0 1\n0 2\n3 1\n3 2\n"):
-        assert not graph_core._read_runs(chunk, index, bit, seen, masks)
-        assert masks == [0, 0, 0]
-    assert seen == {"1\n2\n": 0b110}
-    # the row is known now, under a valid head and then a bad one
-    assert graph_core._read_runs("1 1\n1 2\n", index, bit, seen, masks)
-    assert not graph_core._read_runs("01 1\n01 2\n", index, bit, seen, masks)
-    assert masks == [0, 0b110, 0]
+    head = "digraph 3\nnocolors\n"
+    # the row "1 2" is read under head 0 first, then under 01 (head 1)
+    D = parse_graph(head + "0 1\n0 2\n01 1\n01 2\n")
+    assert D.out_masks == (0b110, 0b110, 0)
+    with pytest.raises(GraphFormatError, match=r"bad arc \(3, 1\) for n=3"):
+        parse_graph(head + "0 1\n0 2\n3 1\n3 2\n")
+    for edges in ("1 1\n1 2\n01 1\n01 2\n", "0 1\n0 2\n1 1\n1 2\n\n01 1\n01 2\n"):
+        assert parse_graph(head + edges) == reference_parse_graph(head + edges)
 
 
 def test_twin_rows_reduced_once(monkeypatch):
     X = directed_power_graph(cyclic_group(240))
     text = format_graph(X)
-    monkeypatch.setattr(graph_core, "_CHUNK", len(text) + 1)
     calls = []
 
     def counting(*args):
@@ -262,27 +262,23 @@ def lines_read_one_at_a_time(monkeypatch) -> list[str]:
 def test_written_graph_read_line_by_line_only_where_needed(monkeypatch, build):
     X = build(cyclic_group(240))
     text = format_graph(X)
-    chunks = list(graph_core._chunks(text))
-    assert len(chunks) > 2
     read = lines_read_one_at_a_time(monkeypatch)
     assert parse_graph(text) == X
     assert read == []
-    # a \r\n sends its chunk, and only that chunk, to the per-line reader
-    for i in (0, 2):
-        spelled = chunks[:i] + [chunks[i].replace("\n", "\r\n", 3)] + chunks[i + 1 :]
-        spelled = "".join(spelled)
-        read.clear()
-        assert parse_graph(spelled) == X
-        # the longer chunk may end a line early, so cut the text anew
-        lines = list(graph_core._chunks(spelled))[i].splitlines()
-        assert read == (lines[2:] if i == 0 else lines)
+    # a line ended by \r\n, and only that line, goes to the per-line reader
+    lines = text.splitlines()
+    respelled = (2, len(lines) // 2, len(lines) - 1)  # edge lines only
+    ends = ["\r\n" if i in respelled else "\n" for i in range(len(lines))]
+    read.clear()
+    assert parse_graph("".join(map(str.__add__, lines, ends))) == X
+    assert read == [lines[i] for i in respelled]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_long_text_read_in_chunks(newline):
     X = power_graph(cyclic_group(240))
     text = format_graph(X).replace("\n", newline)
-    assert len(text) > 2 * graph_core._CHUNK
+    assert len(text) > 150_000
     assert parse_graph(text) == X
     broken = text + "0 1 2" + newline
     with pytest.raises(GraphFormatError, match="bad edge line"):
