@@ -36,8 +36,6 @@ from .powergraph_build import (
 from .reconstruction import (
     cdpow_from_r1,
     check_dpow,
-    dpow_from_enhanced_graph,
-    dpow_from_power_graph,
     epow_from_dpow,
     pow_from_dpow,
     r1_from_r2,
@@ -175,12 +173,8 @@ def _iso(args) -> int:
 
 def _verify(args) -> int:
     graph = _load_undirected(args.input, "verify")
-    if args.kind == "pow":
-        dpow = dpow_from_power_graph(graph)
-        back = pow_from_dpow(dpow)
-    else:
-        dpow = dpow_from_enhanced_graph(graph)
-        back = epow_from_dpow(dpow)
+    dpow = _stages(graph, args.kind)["dpow"]
+    back = (pow_from_dpow if args.kind == "pow" else epow_from_dpow)(dpow)
     mapping = brute_force_color_iso(graph, back, cap=args.cap)
     if mapping is None:
         print("inconsistent: reconstruction does not match the input")
@@ -197,24 +191,25 @@ _HANDLERS = {
     "verify": _verify,
 }
 
+# the exit code of each error a command may raise, first match wins
+_EXIT_CODES = {
+    GroupSpecError: EXIT_PARSE,
+    CayleyTableError: EXIT_PARSE,
+    GraphFormatError: EXIT_PARSE,
+    SizeCapError: EXIT_CAP,
+    PipelineError: EXIT_PIPELINE,
+    OSError: EXIT_IO,
+}
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (GroupSpecError, CayleyTableError, GraphFormatError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -475,6 +475,7 @@ def parse_graph(text: str):
 
 def _read_lines(lines, index, masks, directed) -> None:
     """OR arc lines into masks one at a time, in any accepted spelling."""
+    n = len(masks)
     for ln in lines:
         try:
             a, b = ln.split()
@@ -484,22 +485,15 @@ def _read_lines(lines, index, masks, directed) -> None:
             continue  # blank line
         try:
             u, v = index[a], index[b]
-        except KeyError:
-            u, v = _edge_ends(ln, len(masks), directed)
+        except KeyError:  # not written as format_graph writes it
+            try:
+                u, v = int(a), int(b)
+            except ValueError:
+                raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                kind = "arc" if directed else "edge"
+                raise GraphFormatError(f"bad {kind} ({u}, {v}) for n={n}") from None
         masks[u] |= 1 << v
-
-
-def _edge_ends(ln: str, n: int, directed: bool):
-    """(u, v) from an arc line that is not written as format_graph writes
-    it, or GraphFormatError."""
-    try:
-        u, v = map(int, ln.split())
-    except ValueError:
-        raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
-    if not (0 <= u < n and 0 <= v < n):
-        kind = "arc" if directed else "edge"
-        raise GraphFormatError(f"bad {kind} ({u}, {v}) for n={n}")
-    return u, v
 
 
 def load_graph(path):

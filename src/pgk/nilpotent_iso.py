@@ -83,17 +83,14 @@ def graph_iso_nilpotent(X1, X2, kind: str) -> bool:
     """Isomorphism of power / enhanced power / directed power graphs of
     nilpotent groups.  Undirected kinds are first lifted to directed
     power graphs; directed inputs are recolored by out-degree."""
-    if kind == "pow":
-        return dpow_iso_nilpotent(
-            dpow_from_power_graph(X1), dpow_from_power_graph(X2)
-        )
-    if kind == "epow":
-        return dpow_iso_nilpotent(
-            dpow_from_enhanced_graph(X1), dpow_from_enhanced_graph(X2)
-        )
-    if kind == "dpow":
-        return dpow_iso_nilpotent(_recolor_by_out_degree(X1), _recolor_by_out_degree(X2))
-    raise ValueError(f"unknown kind {kind!r}")
+    lift = {
+        "pow": dpow_from_power_graph,
+        "epow": dpow_from_enhanced_graph,
+        "dpow": _recolor_by_out_degree,
+    }.get(kind)
+    if lift is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return dpow_iso_nilpotent(lift(X1), lift(X2))
 
 
 def _recolor_by_out_degree(D: ColoredDiGraph) -> ColoredDiGraph:

@@ -1,10 +1,16 @@
 """Exact integer number theory used throughout the package.
 
-Everything here works on plain Python ints.  Inputs are group orders
-(a few thousand at most), so trial division is entirely adequate.
+Everything here works on plain Python ints and derives from one
+factorization: `prime_factorization` is the only trial-division loop,
+and divisors, Euler's phi, `is_prime` and `is_prime_power` are read off
+its pairs (`is_power_of` divides by its base, which need not be prime).
+Inputs are group orders (a few thousand at most), so trial division is
+entirely adequate.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 __all__ = [
     "prime_factorization",
@@ -16,15 +22,11 @@ __all__ = [
 ]
 
 
-def _check_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"argument must be a positive integer, got {n}")
-
-
 def prime_factorization(n: int) -> list[tuple[int, int]]:
     """Return the factorization of n as (prime, exponent) pairs, primes
     ascending.  n = 1 yields the empty list."""
-    _check_positive(n)
+    if n < 1:
+        raise ValueError(f"argument must be a positive integer, got {n}")
     out = []
     d = 2
     while d * d <= n:
@@ -42,41 +44,19 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
 
 def euler_phi(n: int) -> int:
     """Number of integers in [1, n] coprime to n."""
-    _check_positive(n)
-    result = n
-    for p, _ in prime_factorization(n):
-        result -= result // p
-    return result
+    return prod((p - 1) * p ** (e - 1) for p, e in prime_factorization(n))
 
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in ascending order, including 1 and n."""
-    _check_positive(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in prime_factorization(n):
+        out += [d * p**k for k in range(1, e + 1) for d in out]
+    return sorted(out)
 
 
 def is_prime(n: int) -> bool:
-    _check_positive(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factorization(n) == [(n, 1)]
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
@@ -84,7 +64,6 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 
     1 is not considered a prime power here.
     """
-    _check_positive(n)
     fact = prime_factorization(n)
     if len(fact) == 1:
         return fact[0]
@@ -93,10 +72,10 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 
 def is_power_of(n: int, p: int) -> bool:
     """True iff n = p^k for some k >= 0, so 1 is a power of every p."""
-    _check_positive(n)
+    if n < 1:
+        raise ValueError(f"argument must be a positive integer, got {n}")
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     while n % p == 0:
         n //= p
     return n == 1
-

@@ -75,13 +75,12 @@ class Algorithm3Step:
     """Snapshot after one gluing iteration.
 
     `graph` is the accumulated graph; its vertex ids are given out in
-    creation order, so they are stable across steps and `vertex_ids` is
-    `range(graph.n)`.  `identified` holds the old vertices that absorbed
-    a vertex of the newly introduced Hasse diagram in this iteration.
+    creation order, so they are stable across steps.  `identified` holds
+    the old vertices that absorbed a vertex of the newly introduced Hasse
+    diagram in this iteration.
     """
 
     graph: ColoredGraph
-    vertex_ids: tuple[int, ...]
     identified: frozenset[int]
 
 
@@ -139,7 +138,6 @@ def r3_from_r4_steps(X: R4Graph) -> list[Algorithm3Step]:
     return [
         Algorithm3Step(
             ColoredGraph._from_masks(len(colors), tuple(colors), masks),
-            tuple(range(len(colors))),
             identified,
         )
         for colors, masks, identified in _glue(X)

@@ -553,12 +553,6 @@ def check_prime_power_gamma_v(G: FiniteGroup) -> list[str]:
     return problems
 
 
-def catalog_cdpow(G: FiniteGroup) -> ColoredDiGraph:
-    from pgk.powergraph_build import directed_power_graph
-
-    return directed_power_graph(G)
-
-
 def make_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
 

@@ -492,9 +492,12 @@ def test_every_call_returns_a_documented_exit_code(totality_dir, X, Y, with_colo
         codes = {tuple(argv): main(argv) for argv in argvs}
     for argv, code in codes.items():
         assert code in DOCUMENTED_EXIT_CODES, argv
-    # detect and every emitted stage answer only where reconstruction does
+    # detect and every emitted stage answer only where reconstruction does;
+    # verify fails exactly as reconstruction does, else gives its verdict
     for k in kinds:
         rebuilt = codes["reconstruct", a, "--kind", k, "--out", out, "--emit-stage", "dpow"]
         for argv, code in codes.items():
             if argv[0] in ("detect", "reconstruct") and argv[3] == k and code == 0:
                 assert rebuilt == 0, argv
+        verified = codes["verify", a, "--kind", k]
+        assert verified in ((0, 1) if rebuilt == 0 else (rebuilt,)), k

@@ -37,6 +37,22 @@ class TestPrimeFactorization:
         assert [p for p, _ in fact] == sorted({p for p, _ in fact})
 
 
+class TestIsPrime:
+    def test_matches_sieve(self):
+        # sieve of Eratosthenes, independent of the factorization
+        limit = 10**4
+        sieve = [False, False] + [True] * (limit - 1)
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+        assert [is_prime(n) for n in range(1, limit + 1)] == sieve[1:]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_non_positive(self, n):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
 class TestEulerPhi:
     def test_examples(self):
         assert euler_phi(1) == 1

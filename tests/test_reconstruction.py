@@ -201,7 +201,7 @@ class TestAlgorithmSteps:
         prev_ids: set[int] = set()
         prev_edges: set[tuple[int, int]] = set()
         for step in steps:
-            index = dict(enumerate(step.vertex_ids))
+            index = dict(enumerate(range(step.graph.n)))
             colors = {index[v]: step.graph.colors[v] for v in range(step.graph.n)}
             edges = {
                 tuple(sorted((index[u], index[v]))) for u, v in step.graph.edges
@@ -211,7 +211,7 @@ class TestAlgorithmSteps:
                     assert u in step.identified and v in step.identified
                     a, b = sorted((colors[u], colors[v]))
                     assert b % a == 0 and is_prime(b // a)
-            prev_ids = set(step.vertex_ids)
+            prev_ids = set(range(step.graph.n))
             prev_edges = edges
 
     def test_conflicting_r4_is_rejected(self):
