@@ -347,23 +347,23 @@ def brute_force_color_iso(X, Y, cap: int = ISO_CAP_DEFAULT):
     order = sorted(range(X.n), key=lambda v: len(candidates[v]))
     mapping: dict[int, int] = {}
     used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used or not _compatible(X, Y, mapping, v, w):
-                continue
+    # depth-first on an explicit stack, not by recursion: tries[-1] holds
+    # the untried candidates of order[len(mapping)]
+    tries = [iter(candidates[v]) for v in order[:1]]
+    while tries and len(mapping) < X.n:
+        v = order[len(mapping)]
+        fits = (w for w in tries[-1] if w not in used)
+        w = next((w for w in fits if _compatible(X, Y, mapping, v, w)), None)
+        if w is None:
+            tries.pop()
+            if mapping:  # back to the previous vertex's next candidate
+                used.remove(mapping.popitem()[1])
+        else:
             mapping[v] = w
             used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if extend(0):
+            if len(mapping) < X.n:
+                tries.append(iter(candidates[order[len(mapping)]]))
+    if len(mapping) == X.n:
         return [mapping[v] for v in range(X.n)]
     return None
 

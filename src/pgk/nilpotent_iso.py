@@ -35,11 +35,17 @@ def canonical_tree_code(T: ColoredGraph) -> str:
     if len(roots) != 1:
         raise PipelineError(f"expected exactly one color-1 vertex, found {len(roots)}")
 
-    def code(v: int, skip: int) -> str:
-        children = sorted(code(w, 1 << w | 1 << v) for w in bits(masks[v] & ~skip))
-        return f"({T.colors[v]}:{','.join(children)})"
-
-    return code(roots[0], 1 << roots[0])
+    # breadth-first from the root, then each code from its children's
+    order, kids, seen = [roots[0]], [0] * T.n, 1 << roots[0]
+    for v in order:
+        kids[v] = masks[v] & ~seen
+        seen |= kids[v]
+        order += bits(kids[v])
+    codes = [""] * T.n
+    for v in reversed(order):
+        children = sorted(codes[w] for w in bits(kids[v]))
+        codes[v] = f"({T.colors[v]}:{','.join(children)})"
+    return codes[roots[0]]
 
 
 def _r3_of(D: ColoredDiGraph) -> ColoredGraph:

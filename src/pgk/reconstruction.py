@@ -10,25 +10,23 @@ power graph (from an enhanced power graph) has another degree multiset
 than the input.  Every stage reads and writes bitmask adjacency.  The
 output is an isomorphic copy, not a relabeling of the input vertices:
 closed twins are interchangeable and the reconstruction does not try to
-tell them apart.
+tell them apart.  The per-step gluing records and the Hasse-diagram
+oracle that `r3_from_r4` is checked against live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
-from .graph_core import ColoredDiGraph, ColoredGraph, bits, scatter
-from .numtheory import euler_phi, is_prime
-from .reductions import R4Graph, hasse_divisor_graph, reach_masks
+from .graph_core import ColoredDiGraph, ColoredGraph, bits, reach, scatter
+from .numtheory import divisors, euler_phi, is_prime, prime_factorization
+from .reductions import R4Graph
 
 __all__ = [
-    "Algorithm3Step",
     "r4_from_marked_graph",
     "r3_from_r4",
-    "r3_from_r4_steps",
     "r2_from_r3",
     "r1_from_r2",
     "cdpow_from_r1",
@@ -70,31 +68,18 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
     )
 
 
-@dataclass(frozen=True)
-class Algorithm3Step:
-    """Snapshot after one gluing iteration.
-
-    `graph` is the accumulated graph; its vertex ids are given out in
-    creation order, so they are stable across steps.  `identified` holds
-    the old vertices that absorbed a vertex of the newly introduced Hasse
-    diagram in this iteration.
-    """
-
-    graph: ColoredGraph
-    identified: frozenset[int]
-
-
 def _glue(X: R4Graph):
-    """Glue the divisor Hasse diagram of each CCG color in turn, yielding
-    (colors, masks, identified) after each, masks being the closed
-    neighborhoods so far; the state is mutated in place.
+    """Glue the divisor lattice of each CCG color in turn, yielding
+    (colors, masks, lattice) after each, masks being the closed
+    neighborhoods so far and lattice the color's divisor -> vertex map;
+    the state is mutated in place and ids are given out in creation order.
 
     A cyclic group has exactly one subgroup per divisor of its order, so
     in R3 the descendants of g_s are one vertex per divisor of col(g_s).
-    `lattices[s]` maps each such divisor to its vertex, and the diagram
+    `lattices[s]` maps each such divisor to its vertex, and the lattice
     of g_j shares with g_s exactly the divisors of their intersection
     color c: gluing reads them off `lattices[s]`, with no search of the
-    graph.
+    graph.  Each divisor d is joined to d // p for each prime p | d.
     """
     if X.m == 0:
         raise PipelineError("R4 graph with no CCG vertices")
@@ -118,37 +103,25 @@ def _glue(X: R4Graph):
                         "conflicting identification: R4 violates the "
                         "pairwise-intersection divisibility structure"
                     )
-        identified = frozenset(lattice.values())
-        hasse = hasse_divisor_graph(cj)
-        for d in hasse.colors:
+        primes = [p for p, _ in prime_factorization(cj)]
+        for d in divisors(cj):
             if d not in lattice:
                 lattice[d] = len(colors)
                 colors.append(d)
-                masks.append(0)
-        ids = [lattice[d] for d in hasse.colors]
-        for a, m in enumerate(hasse.masks):
-            for b in bits(m):
-                masks[ids[a]] |= 1 << ids[b]
+                masks.append(1 << len(masks))
+            u = lattice[d]
+            for v in [lattice[d // p] for p in primes if d % p == 0]:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
         lattices.append(lattice)
-        yield colors, masks, identified
-
-
-def r3_from_r4_steps(X: R4Graph) -> list[Algorithm3Step]:
-    """Run the R4 -> R3 gluing and return every intermediate state."""
-    return [
-        Algorithm3Step(
-            ColoredGraph._from_masks(len(colors), tuple(colors), masks),
-            identified,
-        )
-        for colors, masks, identified in _glue(X)
-    ]
+        yield colors, masks, lattice
 
 
 def r3_from_r4(X: R4Graph) -> ColoredGraph:
     """Rebuild an isomorphic copy of R3 from its R4 summary.
 
-    Starts from the divisor Hasse diagram of the first CCG color and, for
-    each further CCG vertex, glues in its own diagram along the shared
+    Starts from the divisor lattice of the first CCG color and, for
+    each further CCG vertex, glues in its own lattice along the shared
     divisors dictated by the pairwise intersection colors.
     """
     for colors, masks, _ in _glue(X):
@@ -177,7 +150,8 @@ def r2_from_r3(X: ColoredGraph) -> ColoredDiGraph:
 
 def r1_from_r2(X: ColoredDiGraph) -> ColoredDiGraph:
     """Reflexive and transitive closure."""
-    return ColoredDiGraph._from_masks(X.n, X.colors, reach_masks(X))
+    masks = [reach(X.out_masks, v) for v in range(X.n)]
+    return ColoredDiGraph._from_masks(X.n, X.colors, masks)
 
 
 def cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:

@@ -4,7 +4,8 @@ R1 contracts closed-twin classes, R2 strips self-loops and transitive
 arcs (leaving the covering relation of the divisibility order), R3
 forgets directions, and R4 summarizes R3 by its CCG vertices and their
 pairwise intersections; reconstruction builds R4 from a marked graph,
-so the forward R4 step lives with the tests.
+so the forward R4 step lives with the tests, next to the divisor Hasse
+diagram oracle that reconstruction's gluing is checked against.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from .graph_core import (
     ColoredGraph,
     bits,
     closed_twin_partition_directed,
-    reach,
 )
-from .numtheory import divisors, euler_phi, is_prime
+from .numtheory import euler_phi
 
 __all__ = [
     "R1Reduction",
@@ -27,8 +27,6 @@ __all__ = [
     "reduce_r1",
     "reduce_r2",
     "reduce_r3",
-    "reach_masks",
-    "hasse_divisor_graph",
 ]
 
 
@@ -55,14 +53,10 @@ class R4Graph:
     def m(self) -> int:
         return len(self.ccg_colors)
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.intersection_colors)
-
     def to_colored_graph(self) -> ColoredGraph:
         """Materialize as a colored bipartite graph: A-side vertices
         0..m-1, then one B-side vertex per pair in pair order."""
-        m, pairs = self.m, self.pairs
+        m, pairs = self.m, sorted(self.intersection_colors)
         colors = self.ccg_colors + tuple(self.intersection_colors[p] for p in pairs)
         masks = [1 << v for v in range(len(colors))]
         for b, (i, j) in enumerate(pairs, m):
@@ -119,22 +113,3 @@ def reduce_r2(X: ColoredDiGraph) -> ColoredDiGraph:
 def reduce_r3(X: ColoredDiGraph) -> ColoredGraph:
     """Forget arc directions."""
     return X.undirected_shadow()
-
-
-def hasse_divisor_graph(n: int) -> ColoredGraph:
-    """Hasse diagram of the divisors of n: one vertex per divisor (its
-    color), edges between divisors at prime ratio."""
-    divs = divisors(n)
-    masks = [1 << i for i in range(len(divs))]
-    for i, d in enumerate(divs):
-        for j, e in enumerate(divs):
-            if e > d and e % d == 0 and is_prime(e // d):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return ColoredGraph._from_masks(len(divs), tuple(divs), masks)
-
-
-def reach_masks(X: ColoredDiGraph) -> list[int]:
-    """Bit w of reach_masks(X)[v] is set iff w is reachable from v, v
-    included."""
-    return [reach(X.out_masks, v) for v in range(X.n)]

@@ -30,6 +30,7 @@ from pgk.graph_core import (
     closed_twin_partition_undirected,
     format_graph,
     induced_subgraph,
+    reach,
     relabel,
 )
 from pgk.group_core import (
@@ -45,6 +46,7 @@ from pgk.group_core import (
     quaternion_group,
 )
 from pgk.numtheory import (
+    divisors,
     euler_phi,
     is_power_of,
     is_prime,
@@ -52,7 +54,8 @@ from pgk.numtheory import (
     prime_factorization,
 )
 from pgk.powergraph_build import power_graph
-from pgk.reductions import R4Graph, reach_masks, reduce_r1, reduce_r2, reduce_r3
+from pgk.reconstruction import _glue
+from pgk.reductions import R4Graph, reduce_r1, reduce_r2, reduce_r3
 
 
 def phi_table(limit: int) -> list[int]:
@@ -330,6 +333,47 @@ def reduce_r4(X: ColoredGraph) -> R4Graph:
     )
 
 
+def hasse_divisor_graph(n: int) -> ColoredGraph:
+    """Hasse diagram of the divisors of n: one vertex per divisor (its
+    color), edges between divisors at prime ratio.  The definitional
+    oracle that r3_from_r4 on a single CCG vertex is checked against."""
+    divs = divisors(n)
+    masks = [1 << i for i in range(len(divs))]
+    for i, d in enumerate(divs):
+        for j, e in enumerate(divs):
+            if e > d and e % d == 0 and is_prime(e // d):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return ColoredGraph._from_masks(len(divs), tuple(divs), masks)
+
+
+@dataclass(frozen=True)
+class Algorithm3Step:
+    """Snapshot after one gluing iteration.
+
+    `graph` is the accumulated graph; its vertex ids are given out in
+    creation order, so they are stable across steps.  `identified` holds
+    the old vertices that absorbed a vertex of the newly introduced Hasse
+    diagram in this iteration.
+    """
+
+    graph: ColoredGraph
+    identified: frozenset[int]
+
+
+def r3_from_r4_steps(X: R4Graph) -> list[Algorithm3Step]:
+    """Run the R4 -> R3 gluing and return every intermediate state: the
+    lattice vertices with ids below the previous step's vertex count are
+    the identified ones."""
+    steps, before = [], 0
+    for colors, masks, lattice in _glue(X):
+        graph = ColoredGraph._from_masks(len(colors), tuple(colors), masks)
+        identified = frozenset(u for u in lattice.values() if u < before)
+        steps.append(Algorithm3Step(graph, identified))
+        before = graph.n
+    return steps
+
+
 @dataclass(frozen=True)
 class R2Report:
     """Outcome of the structural audit of an R2 candidate."""
@@ -379,7 +423,7 @@ def verify_r2_structure(X: ColoredDiGraph) -> R2Report:
 
 def reachability(X: ColoredDiGraph) -> list[set[int]]:
     """reach[v] is the set of vertices reachable from v, v included."""
-    return [set(bits(m)) for m in reach_masks(X)]
+    return [set(bits(reach(X.out_masks, v))) for v in range(X.n)]
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,7 @@ from pgk.powergraph_build import (
     enhanced_power_graph,
     power_graph,
 )
-from pgk.reconstruction import (
-    dpow_from_enhanced_graph,
-    dpow_from_power_graph,
-    r3_from_r4_steps,
-)
+from pgk.reconstruction import dpow_from_enhanced_graph, dpow_from_power_graph
 from pgk.reductions import reduce_r1, reduce_r2, reduce_r3
 
 from helpers import (
@@ -49,6 +45,7 @@ from helpers import (
     maximal_cyclic_subgroups,
     neighbors,
     phi_table,
+    r3_from_r4_steps,
     random_relabel,
     reduce_r4,
     verify_r2_structure,

@@ -28,21 +28,16 @@ from pgk.reconstruction import (
     r1_from_r2,
     r2_from_r3,
     r3_from_r4,
-    r3_from_r4_steps,
     r4_from_marked_graph,
 )
-from pgk.reductions import (
-    R4Graph,
-    hasse_divisor_graph,
-    reduce_r1,
-    reduce_r2,
-    reduce_r3,
-)
+from pgk.reductions import R4Graph, reduce_r1, reduce_r2, reduce_r3
 
 from helpers import (
     color_iso,
     descendants,
+    hasse_divisor_graph,
     make_rng,
+    r3_from_r4_steps,
     random_relabel,
     reduce_r4,
     small_digraphs,

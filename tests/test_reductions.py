@@ -16,12 +16,8 @@ from pgk.group_core import (
 )
 from pgk.numtheory import divisors
 from pgk.powergraph_build import directed_power_graph
-from pgk.reductions import (
-    hasse_divisor_graph,
-    reduce_r1,
-    reduce_r2,
-    reduce_r3,
-)
+from pgk.reconstruction import r3_from_r4
+from pgk.reductions import R4Graph, reduce_r1, reduce_r2, reduce_r3
 
 from helpers import (
     ccg_ground_truth,
@@ -29,6 +25,7 @@ from helpers import (
     closed_out_neighborhood,
     color_iso,
     descendants,
+    hasse_divisor_graph,
     intersection_color,
     neighbors,
     reachability,
@@ -186,27 +183,38 @@ class TestReduceR4:
 
 
 class TestHasseDivisorGraph:
+    """r3_from_r4 on one CCG vertex of color n glues the divisor Hasse
+    diagram of n; the definitional oracle is helpers.hasse_divisor_graph."""
+
+    @staticmethod
+    def lattice(n):
+        return r3_from_r4(R4Graph((n,), {}))
+
     def test_one(self):
-        H = hasse_divisor_graph(1)
+        H = self.lattice(1)
         assert H.n == 1 and H.colors == (1,) and not H.edges
 
     def test_twelve(self):
-        H = hasse_divisor_graph(12)
+        H = self.lattice(12)
         assert H.n == 6
         assert len(H.edges) == 7
         assert H.colors == (1, 2, 3, 4, 6, 12)
 
     def test_prime_power_is_path(self):
-        H = hasse_divisor_graph(8)
+        H = self.lattice(8)
         assert sorted(H.degree(v) for v in range(H.n)) == [1, 1, 2, 2]
 
     def test_edges_are_prime_ratios(self):
         from pgk.numtheory import is_prime
 
-        H = hasse_divisor_graph(36)
+        H = self.lattice(36)
         for u, v in H.edges:
             a, b = sorted((H.colors[u], H.colors[v]))
             assert b % a == 0 and is_prime(b // a)
+
+    def test_equals_oracle_up_to_1000(self):
+        bad = [n for n in range(1, 1001) if self.lattice(n) != hasse_divisor_graph(n)]
+        assert bad == []
 
 
 class TestVerifyR2Structure:
