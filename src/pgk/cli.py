@@ -95,10 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _generate(args) -> int:
     G = parse_group_spec(args.spec)
     # deterministic labels: sort elements by (order, index)
-    perm_src = sorted(range(G.order), key=lambda g: (G.element_orders[g], g))
-    perm = [0] * G.order
-    for new, old in enumerate(perm_src):
-        perm[old] = new
+    by_order = sorted(range(G.order), key=G.element_orders.__getitem__)
+    perm = sorted(range(G.order), key=by_order.__getitem__)  # its inverse
     build = {"pow": power_graph, "epow": enhanced_power_graph}.get(
         args.kind, directed_power_graph
     )

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, count, islice
-from operator import itemgetter, or_
+from operator import or_
 
 from .errors import GraphFormatError, SizeCapError
 from .group_core import MAX_GROUP_ORDER, open_text
@@ -281,21 +281,14 @@ def strong_product(X: ColoredDiGraph, Y: ColoredDiGraph) -> ColoredDiGraph:
 
 def relabel(X, perm):
     """Apply a permutation (perm[old] = new) to the vertices of X."""
-    n = X.n
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(X.n)):
         raise ValueError("perm must be a permutation of the vertex set")
-    if n == 0:
-        return X
-    colors = [0] * n
-    masks = [0] * n
-    # bit perm[v] of a new mask is bit v of the old one: permute the
-    # mask's binary digits as one string
-    take = itemgetter(*sorted(range(n), key=perm.__getitem__))
-    for old, (c, m) in enumerate(zip(X.colors, _masks(X))):
-        digits = bin(m)[:1:-1].ljust(n, "0")  # digits[v] is bit v
-        colors[perm[old]] = c
-        masks[perm[old]] = int("".join(take(digits))[::-1], 2)
-    return type(X)._from_masks(n, tuple(colors), masks)
+    old = sorted(range(X.n), key=perm.__getitem__)  # old[new] is the old vertex
+    masks = _masks(X)
+    # move the rows, then move the columns as rows of the transpose
+    columns = transpose([masks[v] for v in old])
+    masks = transpose([columns[v] for v in old])
+    return type(X)._from_masks(X.n, tuple(X.colors[v] for v in old), masks)
 
 
 def _signature(X, v):

@@ -96,14 +96,29 @@ def graph_iso_nilpotent(X1, X2, kind: str) -> bool:
     }.get(kind)
     if lift is None:
         raise ValueError(f"unknown kind {kind!r}")
-    return dpow_iso_nilpotent(lift(X1), lift(X2))
+    D1, D2 = lift(X1), lift(X2)
+    iso = dpow_iso_nilpotent(D1, D2)
+    for i, D in enumerate((D1, D2) if iso and kind == "dpow" else (), 1):
+        _check_transitive(D.out_masks, f"input {i}")
+    return iso
 
 
 def _recolor_by_out_degree(D: ColoredDiGraph) -> ColoredDiGraph:
-    colors = tuple(m.bit_count() for m in D.out_masks)
-    if 0 in colors:
+    if loopless := [v for v, m in enumerate(D.out_masks) if not m >> v & 1]:
         raise PipelineError(
             "directed power graphs have a self-loop at every vertex; "
-            "found a vertex with empty out-neighborhood"
+            f"vertex {loopless[0]} has none"
         )
+    colors = tuple(m.bit_count() for m in D.out_masks)
     return ColoredDiGraph._from_masks(D.n, colors, D.out_masks)
+
+
+def _check_transitive(out, name: str) -> None:
+    """Raise unless each distinct out-mask holds its members', as in any
+    DPow; a "non-isomorphic" needs no check (every step is an invariant)."""
+    for m in dict.fromkeys(out):
+        for w in bits(m):
+            if u := out[w] & ~m:
+                v, u = out.index(m), bits(u)[0]
+                arcs = f"arcs ({v}, {w}) and ({w}, {u}) but no arc ({v}, {u})"
+                raise PipelineError(f"{name} is not a directed power graph: {arcs}")

@@ -18,6 +18,7 @@ from .graph_core import (
     ColoredGraph,
     bits,
     closed_twin_partition_directed,
+    induced_subgraph,
 )
 from .numtheory import euler_phi
 
@@ -81,20 +82,12 @@ def reduce_r1(X: ColoredDiGraph) -> R1Reduction:
                 f"not a colored directed power graph: twin class {cls} has size "
                 f"{len(cls)}, expected euler_phi({color}) = {euler_phi(color)}"
             )
-    # twins share their closed out-neighborhood, so a class's arcs are
-    # its first member's (which reach its twins, if it has any)
-    class_bit = [0] * X.n
-    for i, cls in enumerate(classes):
-        for v in cls:
-            class_bit[v] = 1 << i
-    masks = []
-    for cls in classes:
-        m = 0
-        for w in bits(X.out_masks[cls[0]]):
-            m |= class_bit[w]
-        masks.append(m)
-    colors = tuple(X.colors[cls[0]] for cls in classes)
-    return R1Reduction(ColoredDiGraph._from_masks(len(classes), colors, masks), classes)
+    # a class's arcs are its first member's (a vertex reaches all of a
+    # class or none of it), plus a loop if it has twins (they reach each other)
+    R, _ = induced_subgraph(X, [cls[0] for cls in classes])
+    loops = sum(1 << i for i, cls in enumerate(classes) if len(cls) > 1)
+    masks = [m | loops & 1 << i for i, m in enumerate(R.out_masks)]
+    return R1Reduction(ColoredDiGraph._from_masks(R.n, R.colors, masks), classes)
 
 
 def reduce_r2(X: ColoredDiGraph) -> ColoredDiGraph:

@@ -238,6 +238,19 @@ def reference_direct_product(
     return FiniteGroup(table)
 
 
+def metacyclic_group(m: int, k: int, r: int) -> FiniteGroup:
+    """Z_m ⋊ Z_k with (a, b)(c, d) = (a + c·r^b mod m, b + d mod k), the
+    pair (a, b) being element b*m + a; r^k must be 1 mod m.  M16 is
+    (8, 2, 5) and Z9⋊Z3 is (9, 3, 4)."""
+    n = m * k
+
+    def mul(x, y):
+        (b, a), (d, c) = divmod(x, m), divmod(y, m)
+        return (b + d) % k * m + (a + c * pow(r, b, m)) % m
+
+    return group_from_cayley_table([[mul(x, y) for y in range(n)] for x in range(n)])
+
+
 # --- test-only graph accessors and forward reductions ----------------------
 #
 # Proof machinery: the forward R4 step from an R3 graph, the R2 audit and

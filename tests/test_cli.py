@@ -406,6 +406,31 @@ class TestIso:
         assert run("iso", str(z6), str(cut), "--kind", "dpow") == 1
         assert capsys.readouterr().out.strip() == "non-isomorphic"
 
+    @pytest.mark.parametrize(
+        "order, arcs, message",
+        [
+            (18, [(3, 15), (3, 17)], "arcs (3, 17) and (17, 1) but no arc (3, 1)"),
+            (2, [(0, 1), (1, 1)], "vertex 1 has none"),
+        ],
+    )
+    def test_flipped_dpow_no_preorder_exit_4(
+        self, tmp_path, capsys, order, arcs, message
+    ):
+        # each flipped copy keeps every invariant the verdict reads, so it
+        # was once called isomorphic to a relabelled original
+        D = directed_power_graph(cyclic_group(order))
+        masks = list(D.out_masks)
+        for u, v in arcs:
+            masks[u] ^= 1 << v
+        bad = type(D)._from_masks(D.n, D.colors, masks)
+        a = self._write(tmp_path, "a.graph", bad)
+        relabelled = graph_core.relabel(D, list(range(order))[::-1])
+        b = self._write(tmp_path, "b.graph", relabelled)
+        for first, second in ((a, b), (b, a)):
+            assert run("iso", first, second, "--kind", "dpow") == 4
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
+
 
 class TestVerify:
     def test_pow_z12_consistent(self, tmp_path):

@@ -102,6 +102,23 @@ def test_tiny_graphs_match_references(n):
         assert_matches_references(X, list(range(n)))
 
 
+@pytest.mark.parametrize(
+    "X",
+    [
+        ColoredGraph(0, (), frozenset()),
+        ColoredGraph(1, (5,), frozenset()),
+        ColoredDiGraph(0, (), frozenset()),
+        ColoredDiGraph(1, (3,), frozenset()),
+        ColoredDiGraph(1, (2,), frozenset({(0, 0)})),
+    ],
+)
+def test_relabel_on_zero_and_one_vertex(X):
+    perm = list(range(X.n))
+    assert relabel(X, perm) == reference_relabel(X, perm) == X
+    with pytest.raises(ValueError, match="permutation"):
+        relabel(X, [X.n])
+
+
 HEADERS = ["graph 3", "digraph 3", "graph 12", "graph", "graph -1", "graph x",
            "graph 3 3", "tree 3", "  digraph\t3  "]
 COLOR_LINES = ["nocolors", "colors 1 2 3", "colors 1 2", "colors 0 1 1",

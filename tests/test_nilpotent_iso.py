@@ -26,6 +26,7 @@ from helpers import (
     is_abelian,
     is_nilpotent,
     make_rng,
+    metacyclic_group,
     p_component,
     random_relabel,
     reference_dpow_iso_nilpotent,
@@ -282,6 +283,33 @@ class TestGraphIsoNilpotent:
         with pytest.raises(PipelineError, match="self-loop"):
             graph_iso_nilpotent(D, D, "dpow")
 
+    def test_dpow_kind_names_the_loopless_vertex(self):
+        # out-degree 2 everywhere, but vertex 1 has no loop
+        D = ColoredDiGraph(2, (1, 1), frozenset({(0, 0), (0, 1), (1, 0)}))
+        with pytest.raises(PipelineError, match="vertex 1 has none"):
+            graph_iso_nilpotent(D, D, "dpow")
+
+    def test_dpow_kind_names_an_intransitive_triple(self):
+        # Z18 with 3 -> 15 traded for 3 -> 17 keeps every invariant the
+        # verdict reads, but 17 reaches 1 and 3 does not
+        D = directed_power_graph(cyclic_group(18))
+        bad = flip(D, [(3, 15), (3, 17)])
+        assert brute_force_color_iso(by_out_degree(bad), D) is None
+        assert dpow_iso_nilpotent(by_out_degree(bad), D)
+        for X1, X2, i in ((bad, D, 1), (D, bad, 2)):
+            with pytest.raises(PipelineError) as exc:
+                graph_iso_nilpotent(X1, X2, "dpow")
+            assert str(exc.value) == (
+                f"input {i} is not a directed power graph: "
+                "arcs (3, 17) and (17, 1) but no arc (3, 1)"
+            )
+
+    def test_dpow_kind_non_isomorphic_needs_no_preorder(self):
+        # Z6 less its arc 5 -> 0 is not transitive, and still only
+        # non-isomorphic to Z6
+        D = directed_power_graph(cyclic_group(6))
+        assert not graph_iso_nilpotent(D, flip(D, [(5, 0)]), "dpow")
+
     def test_rejects_unknown_kind(self):
         X = power_graph(cyclic_group(4))
         with pytest.raises(ValueError):
@@ -295,3 +323,38 @@ class TestGraphIsoNilpotent:
         for _ in range(3):
             shuffled = random_relabel(X1, rng)
             assert graph_iso_nilpotent(shuffled, X2, "pow") == base
+
+
+BUILDERS = {"dpow": directed_power_graph, "pow": power_graph, "epow": enhanced_power_graph}
+
+
+class TestMetacyclicPairs:
+    """M16 = Z8⋊Z2 and Z9⋊Z3 are nilpotent and not abelian, so not
+    isomorphic to Z2xZ8 and Z3xZ9, whose graphs of all three kinds they
+    share; Z4xZ4 and Z16 are groups of order 16 whose graphs differ."""
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize(
+        "G, H",
+        [
+            (metacyclic_group(8, 2, 5), direct_product(cyclic_group(2), cyclic_group(8))),
+            (metacyclic_group(9, 3, 4), direct_product(cyclic_group(3), cyclic_group(9))),
+            (metacyclic_group(8, 2, 5), direct_product(cyclic_group(4), cyclic_group(4))),
+            (metacyclic_group(8, 2, 5), cyclic_group(16)),
+        ],
+    )
+    def test_agrees_with_brute_force_on_relabelled_copies(self, G, H, kind):
+        assert is_nilpotent(G) and not is_abelian(G)
+        rng = make_rng(16)
+        X, Y = BUILDERS[kind](G), BUILDERS[kind](H)
+        for _ in range(3):
+            Y = random_relabel(Y, rng)
+            truth = brute_force_color_iso(X, Y) is not None
+            assert graph_iso_nilpotent(X, Y, kind) == truth
+            assert graph_iso_nilpotent(random_relabel(X, rng), X, kind)
+
+    def test_builder_keeps_the_product_rule(self):
+        m, k, r = 9, 3, 4
+        G = metacyclic_group(m, k, r)
+        a, b, c, d = 2, 1, 5, 2
+        assert G.table[b * m + a][d * m + c] == (b + d) % k * m + (a + c * r**b) % m

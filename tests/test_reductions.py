@@ -2,19 +2,21 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgk.errors import PipelineError
 from pgk.graph_core import (
     ColoredDiGraph,
     ColoredGraph,
     brute_force_color_iso,
+    relabel,
 )
 from pgk.group_core import (
     cyclic_group,
     direct_product,
     quaternion_group,
 )
-from pgk.numtheory import divisors
+from pgk.numtheory import divisors, euler_phi
 from pgk.powergraph_build import directed_power_graph
 from pgk.reconstruction import r3_from_r4
 from pgk.reductions import R4Graph, reduce_r1, reduce_r2, reduce_r3
@@ -76,6 +78,45 @@ class TestReduceR1:
         bad = ColoredDiGraph(1, (3,), frozenset({(0, 0)}))
         with pytest.raises(PipelineError, match="twin class"):
             reduce_r1(bad)
+
+
+@st.composite
+def twin_blowups(draw):
+    """A digraph on up to five twin classes of distinct colors, each of
+    euler_phi(color) members that reach each other and, unless drawn
+    otherwise, carry no loops; relabelled at random, so that a class's
+    members need not be consecutive."""
+    colors = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]),
+                           min_size=1, max_size=5, unique=True))
+    k = len(colors)
+    quotient = [[draw(st.booleans()) for _ in range(k)] for _ in range(k)]
+    looped = draw(st.booleans())
+    owner = [i for i, c in enumerate(colors) for _ in range(euler_phi(c))]
+    n = len(owner)
+    arcs = frozenset(
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if (owner[u] != owner[v] and quotient[owner[u]][owner[v]])
+        or (owner[u] == owner[v] and (u != v or looped and quotient[owner[u]][owner[u]]))
+    )
+    D = ColoredDiGraph(n, tuple(colors[i] for i in owner), arcs)
+    return relabel(D, draw(st.permutations(range(n))))
+
+
+class TestReduceR1Classes:
+    @settings(max_examples=300, deadline=None)
+    @given(twin_blowups())
+    def test_class_arcs_are_member_arcs(self, D):
+        # the case the loop on a class with twins is for: no member of a
+        # twin class needs a loop of its own for the class to have one
+        red = reduce_r1(D)
+        out = D.out_masks
+        for i, cls in enumerate(red.classes):
+            assert red.graph.colors[i] == D.colors[cls[0]]
+            for j, other in enumerate(red.classes):
+                members = sum(1 << v for v in other)
+                assert red.graph.has_arc(i, j) == any(out[u] & members for u in cls)
 
 
 class TestReduceR2:
