@@ -106,16 +106,18 @@ def _generate(args) -> int:
     return EXIT_OK
 
 
-def _uncolored(graph):
-    """graph with every color 1: an undirected input's colors are ignored."""
-    return ColoredGraph._from_masks(graph.n, (1,) * graph.n, graph.masks)
-
-
-def _load_undirected(path, command):
-    graph = load_graph(path)
-    if not isinstance(graph, ColoredGraph):
-        raise GraphFormatError(f"{command} expects an undirected graph file")
-    return _uncolored(graph)
+def _read(kind, *paths) -> list:
+    """Each file's graph, all parsed before any of the wrong shape is
+    refused: kind dpow reads digraphs, the others undirected graphs, read
+    with every color 1."""
+    graphs = [load_graph(path) for path in paths]
+    shape = "a directed" if kind == "dpow" else "an undirected"
+    for path, graph in zip(paths, graphs):
+        if isinstance(graph, ColoredDiGraph) != (kind == "dpow"):
+            raise GraphFormatError(f"{path}: kind {kind} expects {shape} graph file")
+    if kind == "dpow":
+        return graphs
+    return [ColoredGraph._from_masks(g.n, (1,) * g.n, g.masks) for g in graphs]
 
 
 def _stages(graph, kind) -> dict:
@@ -134,14 +136,14 @@ def _stages(graph, kind) -> dict:
 
 
 def _detect(args) -> int:
-    graph = _load_undirected(args.input, "detect")
+    [graph] = _read(args.kind, args.input)
     for v in _stages(graph, args.kind)["marking"].cc_vertices:
         print(f"{v} {graph.degree(v) + 1}")
     return EXIT_OK
 
 
 def _reconstruct(args) -> int:
-    graph = _load_undirected(args.input, "reconstruct")
+    [graph] = _read(args.kind, args.input)
     out = _stages(graph, args.kind)[args.emit_stage]
     if args.emit_stage == "r4":
         out = out.to_colored_graph()
@@ -151,17 +153,7 @@ def _reconstruct(args) -> int:
 
 
 def _iso(args) -> int:
-    g1 = load_graph(args.input1)
-    g2 = load_graph(args.input2)
-    want_directed = args.kind == "dpow"
-    for g in (g1, g2):
-        if isinstance(g, ColoredDiGraph) != want_directed:
-            raise GraphFormatError(
-                f"kind {args.kind} expects "
-                f"{'directed' if want_directed else 'undirected'} graph files"
-            )
-    if not want_directed:
-        g1, g2 = _uncolored(g1), _uncolored(g2)
+    g1, g2 = _read(args.kind, args.input1, args.input2)
     if graph_iso_nilpotent(g1, g2, args.kind):
         print("isomorphic")
         return EXIT_OK
@@ -170,7 +162,7 @@ def _iso(args) -> int:
 
 
 def _verify(args) -> int:
-    graph = _load_undirected(args.input, "verify")
+    [graph] = _read(args.kind, args.input)
     dpow = _stages(graph, args.kind)["dpow"]
     back = (pow_from_dpow if args.kind == "pow" else epow_from_dpow)(dpow)
     mapping = brute_force_color_iso(graph, back, cap=args.cap)

@@ -215,8 +215,8 @@ def _partition_by_key(n, key) -> TwinPartition:
     groups: dict[object, list[int]] = {}
     for v in range(n):
         groups.setdefault(key(v), []).append(v)
-    classes = sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
-    return TwinPartition(tuple(classes))
+    # each class is met first at its smallest member, so they come sorted
+    return TwinPartition(tuple(map(tuple, groups.values())))
 
 
 def closed_twin_partition_undirected(X: ColoredGraph) -> TwinPartition:
@@ -492,4 +492,7 @@ def _read_lines(lines, index, masks, directed) -> None:
 def load_graph(path):
     with open_text(path, GraphFormatError) as fh:
         text = fh.read()
-    return parse_graph(text)
+    try:
+        return parse_graph(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None

@@ -96,7 +96,13 @@ def graph_iso_nilpotent(X1, X2, kind: str) -> bool:
     }.get(kind)
     if lift is None:
         raise ValueError(f"unknown kind {kind!r}")
-    D1, D2 = lift(X1), lift(X2)
+    lifted = []
+    for i, X in enumerate((X1, X2), 1):
+        try:
+            lifted.append(lift(X))
+        except PipelineError as exc:
+            raise PipelineError(f"input {i}: {exc}") from None
+    D1, D2 = lifted
     iso = dpow_iso_nilpotent(D1, D2)
     for i, D in enumerate((D1, D2) if iso and kind == "dpow" else (), 1):
         _check_transitive(D.out_masks, f"input {i}")

@@ -136,11 +136,7 @@ def r2_from_r3(X: ColoredGraph) -> ColoredDiGraph:
         for v in bits(m & -(2 << u)):
             cu, cv = X.colors[u], X.colors[v]
             hi, lo = (u, v) if cu > cv else (v, u)
-            ratio_ok = (
-                max(cu, cv) % min(cu, cv) == 0
-                and is_prime(max(cu, cv) // min(cu, cv))
-            )
-            if not ratio_ok:
+            if X.colors[hi] % X.colors[lo] or not is_prime(X.colors[hi] // X.colors[lo]):
                 raise PipelineError(
                     f"edge ({u}, {v}) joins colors {cu} and {cv} without prime ratio"
                 )

@@ -251,6 +251,73 @@ def metacyclic_group(m: int, k: int, r: int) -> FiniteGroup:
     return group_from_cayley_table([[mul(x, y) for y in range(n)] for x in range(n)])
 
 
+def dicyclic_group(k: int) -> FiniteGroup:
+    """Dic_k of order 4k with (i, j)(l, m) = ((i + (-1)^j·l + k·[j = m = 1])
+    mod 2k, (j + m) mod 2), the pair (i, j) being element j*2k + i.  Every
+    maximal cyclic subgroup holds the central involution (k, 0).  Q8 is
+    k = 2, Q16 is k = 4 and Q32 is k = 8."""
+    h = 2 * k
+
+    def mul(x, y):
+        (j, i), (m, l) = divmod(x, h), divmod(y, h)
+        return (j + m) % 2 * h + (i + (-1) ** j * l + k * (j & m)) % h
+
+    return group_from_cayley_table([[mul(x, y) for y in range(2 * h)] for x in range(2 * h)])
+
+
+def generated_group(mul, *generators) -> FiniteGroup:
+    """The finite group the generators generate under mul, as a Cayley
+    table.  Right products by generators are closed breadth-first; in a
+    finite group they reach the identity and every inverse."""
+    elements = list(dict.fromkeys(generators))
+    index = {x: i for i, x in enumerate(elements)}
+    for x in elements:
+        for g in generators:
+            if (y := mul(x, g)) not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    return group_from_cayley_table([[index[mul(x, y)] for y in elements] for x in elements])
+
+
+def compose(p, q):
+    """The permutation p∘q, each a tuple of the images of range(d)."""
+    return tuple(p[i] for i in q)
+
+
+def matmul_mod3(x, y):
+    """The product of 2×2 matrices mod 3, each (a, b, c, d) for [[a, b], [c, d]]."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % 3, (a * f + b * h) % 3, (c * e + d * g) % 3, (c * f + d * h) % 3)
+
+
+def family_groups() -> list[tuple[str, FiniteGroup]]:
+    """Non-abelian groups beyond the catalog, each built from generators:
+    dicyclic groups, whose maximal cyclic subgroups share a core, the
+    metacyclic ones by metacyclic_group's rule, and permutation and
+    matrix groups."""
+    return [
+        ("Dic3", dicyclic_group(3)),
+        ("Q16", dicyclic_group(4)),
+        ("Dic5", dicyclic_group(5)),
+        ("Dic6", dicyclic_group(6)),
+        ("Q32", dicyclic_group(8)),
+        ("SD16", metacyclic_group(8, 2, 3)),
+        ("M16", metacyclic_group(8, 2, 5)),
+        ("Z9⋊Z3", metacyclic_group(9, 3, 4)),
+        ("Z7⋊Z3", metacyclic_group(7, 3, 2)),
+        ("F20", metacyclic_group(5, 4, 2)),
+        ("F42", metacyclic_group(7, 6, 3)),
+        ("Z3⋊Z8", metacyclic_group(3, 8, 2)),
+        ("A4", generated_group(compose, (1, 2, 0, 3), (1, 0, 3, 2))),
+        ("S4", generated_group(compose, (1, 2, 3, 0), (1, 0, 2, 3))),
+        ("A5", generated_group(compose, (1, 2, 0, 3, 4), (1, 2, 3, 4, 0))),
+        ("S5", generated_group(compose, (1, 2, 3, 4, 0), (1, 0, 2, 3, 4))),
+        ("SL(2,3)", generated_group(matmul_mod3, (1, 1, 0, 1), (1, 0, 1, 1))),
+        ("GL(2,3)", generated_group(matmul_mod3, (1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1))),
+    ]
+
+
 # --- test-only graph accessors and forward reductions ----------------------
 #
 # Proof machinery: the forward R4 step from an R3 graph, the R2 audit and

@@ -1,11 +1,13 @@
+import ast
 import io
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgk import graph_core, group_core
+from pgk import cli, graph_core, group_core
 from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
 from pgk.cli import main
 from pgk.graph_core import format_graph, load_graph
@@ -353,6 +355,94 @@ class TestNonUtf8Input:
         assert f"{path}: byte {at + 2} is not UTF-8" in capsys.readouterr().err
 
 
+def run_on_files(tmp_path, command, files, kind):
+    """Exit code of command on the graph files, with --out for reconstruct."""
+    extra = ["--out", str(tmp_path / "o")] if command == "reconstruct" else []
+    return run(command, *map(str, files), "--kind", kind, *extra)
+
+
+# (command, number of graph files it reads, position of the bad one)
+FILE_POSITIONS = [
+    ("detect", 1, 0),
+    ("reconstruct", 1, 0),
+    ("verify", 1, 0),
+    ("iso", 2, 0),
+    ("iso", 2, 1),
+]
+
+
+class TestGraphFileRefusals:
+    """A graph file that does not parse, or that has the wrong shape for
+    --kind, exits 2 with a message that names it, whichever argument it
+    is."""
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = tmp_path / "good.graph"
+        save_graph(power_graph(cyclic_group(6)), path, with_colors=False)
+        return path
+
+    @pytest.mark.parametrize("command, count, at", FILE_POSITIONS)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph 3\nnocolors\n0 x\n", "bad edge line: '0 x'"),
+            ("grph 3\nnocolors\n", "bad header line: 'grph 3'"),
+            ("", "empty graph file"),
+        ],
+        ids=["edge", "header", "empty"],
+    )
+    def test_malformed_file_named(
+        self, tmp_path, capsys, good, command, count, at, text, message
+    ):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(text)
+        files = [good] * count
+        files[at] = bad
+        assert run_on_files(tmp_path, command, files, "pow") == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("command, count, at", FILE_POSITIONS)
+    @pytest.mark.parametrize("kind", ["pow", "epow"])
+    def test_directed_file_named(self, tmp_path, capsys, good, command, count, at, kind):
+        bad = tmp_path / "z6.dpow"
+        save_graph(directed_power_graph(cyclic_group(6)), bad, with_colors=False)
+        files = [good] * count
+        files[at] = bad
+        assert run_on_files(tmp_path, command, files, kind) == 2
+        message = f"{bad}: kind {kind} expects an undirected graph file"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_undirected_file_named_under_dpow(self, tmp_path, capsys, good, at):
+        other = tmp_path / "z6.dpow"
+        save_graph(directed_power_graph(cyclic_group(6)), other, with_colors=False)
+        files = [other, other]
+        files[at] = good
+        assert run_on_files(tmp_path, "iso", files, "dpow") == 2
+        message = f"{good}: kind dpow expects a directed graph file"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_every_file_parsed_before_a_shape_is_refused(self, tmp_path, good):
+        # a missing second file is an I/O error (3), not the first file's
+        # shape refusal (2)
+        assert run_on_files(tmp_path, "iso", [good, tmp_path / "missing"], "dpow") == 3
+
+
+def test_graph_files_read_in_one_function():
+    """Every load_graph call in the CLI is in one function, the one that
+    checks the shape each --kind reads."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    owners = {
+        getattr(node, "name", None)
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and "load_graph" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    }
+    assert len(owners) == 1 and None not in owners, owners
+
+
 class TestIso:
     def _write(self, tmp_path, name, graph, with_colors=False):
         path = tmp_path / name
@@ -430,6 +520,30 @@ class TestIso:
             assert run("iso", first, second, "--kind", "dpow") == 4
             out, err = capsys.readouterr()
             assert out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "kind, bad_text, good",
+        [
+            # Z2 plus arc 0 -> 1 less 1's loop: its lift finds no loop at 1
+            ("dpow", "digraph 2\nnocolors\n0 0\n0 1\n1 0\n", directed_power_graph),
+            # the 5-cycle is neither a power graph nor an enhanced one
+            ("pow", "graph 5\nnocolors\n0 1\n0 4\n1 2\n2 3\n3 4\n", power_graph),
+            ("epow", "graph 5\nnocolors\n0 1\n0 4\n1 2\n2 3\n3 4\n", enhanced_power_graph),
+        ],
+        ids=["dpow", "pow", "epow"],
+    )
+    def test_lift_refusal_names_the_input(self, tmp_path, capsys, kind, bad_text, good):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(bad_text)
+        n = int(bad_text.split()[1])
+        other = self._write(tmp_path, "good.graph", good(cyclic_group(n)))
+        reasons = set()
+        for i, files in ((1, (bad, other)), (2, (other, bad))):
+            assert run("iso", *map(str, files), "--kind", kind) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: input {i}: ")
+            reasons.add(err.removeprefix(f"error: input {i}: "))
+        assert len(reasons) == 1
 
 
 class TestVerify:
