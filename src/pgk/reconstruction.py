@@ -17,14 +17,15 @@ oracle that `r3_from_r4` is checked against live in tests/helpers.py.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
 from .graph_core import ColoredDiGraph, ColoredGraph, bits, reach, scatter
 from .numtheory import divisors, euler_phi, is_prime, prime_factorization
-from .reductions import R4Graph
 
 __all__ = [
+    "R4Graph",
     "r4_from_marked_graph",
     "r3_from_r4",
     "r2_from_r3",
@@ -36,6 +37,33 @@ __all__ = [
     "epow_from_dpow",
     "pow_from_dpow",
 ]
+
+
+@dataclass(frozen=True)
+class R4Graph:
+    """Bipartite summary: CCG vertices g_0..g_{m-1} with their colors,
+    and one intersection vertex per pair (i, j) with i < j."""
+
+    ccg_colors: tuple[int, ...]
+    intersection_colors: dict[tuple[int, int], int]
+    # the marked input graph's CC vertex behind each g_i (R3's, if built from R3)
+    ccg_vertices: tuple[int, ...] | None = None
+
+    @property
+    def m(self) -> int:
+        return len(self.ccg_colors)
+
+    def to_colored_graph(self) -> ColoredGraph:
+        """Materialize as a colored bipartite graph: A-side vertices
+        0..m-1, then one B-side vertex per pair in pair order."""
+        m, pairs = self.m, sorted(self.intersection_colors)
+        colors = self.ccg_colors + tuple(self.intersection_colors[p] for p in pairs)
+        masks = [1 << v for v in range(len(colors))]
+        for b, (i, j) in enumerate(pairs, m):
+            masks[b] |= 1 << i | 1 << j
+            masks[i] |= 1 << b
+            masks[j] |= 1 << b
+        return ColoredGraph._from_masks(len(colors), colors, masks)
 
 
 def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
@@ -68,11 +96,10 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
     )
 
 
-def _glue(X: R4Graph):
-    """Glue the divisor lattice of each CCG color in turn, yielding
-    (colors, masks, lattice) after each, masks being the closed
-    neighborhoods so far and lattice the color's divisor -> vertex map;
-    the state is mutated in place and ids are given out in creation order.
+def r3_from_r4(X: R4Graph) -> ColoredGraph:
+    """Rebuild an isomorphic copy of R3 from its R4 summary by gluing the
+    divisor lattice of each CCG color in turn; vertex ids are given out
+    in creation order.
 
     A cyclic group has exactly one subgroup per divisor of its order, so
     in R3 the descendants of g_s are one vertex per divisor of col(g_s).
@@ -114,18 +141,6 @@ def _glue(X: R4Graph):
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
         lattices.append(lattice)
-        yield colors, masks, lattice
-
-
-def r3_from_r4(X: R4Graph) -> ColoredGraph:
-    """Rebuild an isomorphic copy of R3 from its R4 summary.
-
-    Starts from the divisor lattice of the first CCG color and, for
-    each further CCG vertex, glues in its own lattice along the shared
-    divisors dictated by the pairwise intersection colors.
-    """
-    for colors, masks, _ in _glue(X):
-        pass
     return ColoredGraph._from_masks(len(colors), tuple(colors), masks)
 
 
@@ -204,7 +219,9 @@ def _dpow_pipeline(Gamma: ColoredGraph, marking: CcgMarking, kind: str):
 
 def dpow_from_power_graph(Gamma: ColoredGraph) -> ColoredDiGraph:
     """Recover a colored directed power graph from an undirected power
-    graph (isomorphic copy; twin classes are interchangeable)."""
+    graph (isomorphic copy; twin classes are interchangeable).  Input
+    colors are ignored, as in the CLI: detection compares them."""
+    Gamma = ColoredGraph._from_masks(Gamma.n, (1,) * Gamma.n, Gamma.masks)
     return _dpow_pipeline(Gamma, mark_ccg_power(Gamma), "pow")
 
 

@@ -1,11 +1,8 @@
 """Isomorphism-invariant reductions of a colored directed power graph.
 
 R1 contracts closed-twin classes, R2 strips self-loops and transitive
-arcs (leaving the covering relation of the divisibility order), R3
-forgets directions, and R4 summarizes R3 by its CCG vertices and their
-pairwise intersections; reconstruction builds R4 from a marked graph,
-so the forward R4 step lives with the tests, next to the divisor Hasse
-diagram oracle that reconstruction's gluing is checked against.
+arcs (leaving the covering relation of the divisibility order), and R3
+forgets directions.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from .numtheory import euler_phi
 
 __all__ = [
     "R1Reduction",
-    "R4Graph",
     "reduce_r1",
     "reduce_r2",
     "reduce_r3",
@@ -38,33 +34,6 @@ class R1Reduction:
 
     graph: ColoredDiGraph
     classes: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class R4Graph:
-    """Bipartite summary: CCG vertices g_0..g_{m-1} with their colors,
-    and one intersection vertex per pair (i, j) with i < j."""
-
-    ccg_colors: tuple[int, ...]
-    intersection_colors: dict[tuple[int, int], int]
-    # the marked input graph's CC vertex behind each g_i (R3's, if built from R3)
-    ccg_vertices: tuple[int, ...] | None = None
-
-    @property
-    def m(self) -> int:
-        return len(self.ccg_colors)
-
-    def to_colored_graph(self) -> ColoredGraph:
-        """Materialize as a colored bipartite graph: A-side vertices
-        0..m-1, then one B-side vertex per pair in pair order."""
-        m, pairs = self.m, sorted(self.intersection_colors)
-        colors = self.ccg_colors + tuple(self.intersection_colors[p] for p in pairs)
-        masks = [1 << v for v in range(len(colors))]
-        for b, (i, j) in enumerate(pairs, m):
-            masks[b] |= 1 << i | 1 << j
-            masks[i] |= 1 << b
-            masks[j] |= 1 << b
-        return ColoredGraph._from_masks(len(colors), colors, masks)
 
 
 def reduce_r1(X: ColoredDiGraph) -> R1Reduction:

@@ -54,8 +54,8 @@ from pgk.numtheory import (
     prime_factorization,
 )
 from pgk.powergraph_build import power_graph
-from pgk.reconstruction import _glue
-from pgk.reductions import R4Graph, reduce_r1, reduce_r2, reduce_r3
+from pgk.reconstruction import R4Graph, r3_from_r4
+from pgk.reductions import reduce_r1, reduce_r2, reduce_r3
 
 
 def phi_table(limit: int) -> list[int]:
@@ -442,15 +442,26 @@ class Algorithm3Step:
 
 
 def r3_from_r4_steps(X: R4Graph) -> list[Algorithm3Step]:
-    """Run the R4 -> R3 gluing and return every intermediate state: the
-    lattice vertices with ids below the previous step's vertex count are
-    the identified ones."""
-    steps, before = [], 0
-    for colors, masks, lattice in _glue(X):
-        graph = ColoredGraph._from_masks(len(colors), tuple(colors), masks)
-        identified = frozenset(u for u in lattice.values() if u < before)
-        steps.append(Algorithm3Step(graph, identified))
-        before = graph.n
+    """Every intermediate state of the R4 -> R3 gluing.  Ids are given out
+    in creation order, so the state after step j is r3_from_r4 of the R4
+    prefix on g_0..g_j.  g_j's vertex is the last one made or, if the step
+    made none, the vertex of color c_j below g_s's for an earlier s with
+    c_{s,j} = c_j; the identified vertices are the old ones below g_j's."""
+    r3_from_r4(X)  # refuse as the gluing does, also an R4 with no CCG vertex
+    steps: list[Algorithm3Step] = []
+    tops: list[int] = []
+    for j, cj in enumerate(X.ccg_colors):
+        pairs = {p: c for p, c in X.intersection_colors.items() if p[1] <= j}
+        graph = r3_from_r4(R4Graph(X.ccg_colors[: j + 1], pairs))
+        before = steps[-1].graph.n if steps else 0
+        if graph.n > before:
+            tops.append(graph.n - 1)
+        else:
+            s = next(s for s in range(j) if pairs[(s, j)] == cj)
+            below = descendants(graph, tops[s])
+            tops.append(next(v for v in below if graph.colors[v] == cj))
+        below = descendants(graph, tops[-1])
+        steps.append(Algorithm3Step(graph, frozenset(v for v in below if v < before)))
     return steps
 
 

@@ -83,7 +83,7 @@ class TestGenerate:
         spec = "Z" + "9" * 5000
         assert run("generate", spec, "--kind", "pow", "--out", str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("order", ["-1", "0"])
+    @pytest.mark.parametrize("order", ["-1", "0", "x"])
     def test_order_line_below_one_exit_2(self, tmp_path, capsys, monkeypatch, order):
         path = tmp_path / "bad.txt"
         path.write_text(f"{order}\n")
@@ -93,6 +93,13 @@ class TestGenerate:
         for spec in (f"file:{path}", f"D1000xfile:{path}"):
             assert run("generate", spec, "--kind", "pow", "--out", out) == 2
             assert f"{path}: bad order line '{order}'" in capsys.readouterr().err
+
+    def test_short_table_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "short.txt"
+        path.write_text("3\n0 1 2\n1 2\n2 0 1\n")
+        out = str(tmp_path / "o")
+        assert run("generate", f"file:{path}", "--kind", "pow", "--out", out) == 2
+        assert f"{path}: row has 2 entries, expected 3" in capsys.readouterr().err
 
     def test_io_error_exit_3(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.graph"
@@ -389,8 +396,9 @@ class TestGraphFileRefusals:
             ("graph 3\nnocolors\n0 x\n", "bad edge line: '0 x'"),
             ("grph 3\nnocolors\n", "bad header line: 'grph 3'"),
             ("", "empty graph file"),
+            ("graph 2\n", "missing colors line"),
         ],
-        ids=["edge", "header", "empty"],
+        ids=["edge", "header", "empty", "colors"],
     )
     def test_malformed_file_named(
         self, tmp_path, capsys, good, command, count, at, text, message

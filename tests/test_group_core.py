@@ -58,6 +58,10 @@ class TestConstructors:
         with pytest.raises(ValueError):
             cyclic_group(0)
 
+    def test_dihedral_rejects_zero(self):
+        with pytest.raises(ValueError):
+            dihedral_group(0)
+
     def test_dihedral_is_order_2k(self):
         G = dihedral_group(4)
         assert G.order == 8
@@ -225,6 +229,7 @@ class TestCayleyTableValidation:
             # in turn, row i then column i
             ([[0, 1, 2], [1, 2, 0], [1, 0, 0]], "column 0 is not a permutation"),
             ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "row 2 is not a permutation"),
+            ([[0, 1, 2], [1, 2], [2, 0, 1]], "row 1 has length 2, expected 3"),
         ],
     )
     def test_first_failing_line_named(self, table, message):
@@ -470,7 +475,9 @@ class TestGroupSpecParsing:
         assert parse_group_spec(f"Z2xfile:{s3_file}").order == 12
 
     @pytest.mark.parametrize(
-        "bad", ["", "Zx", "Z6x", "Z6yZ2", "Heis4", "file:", "ElemAb(4,2)"]
+        "bad",
+        ["", "Zx", "Z6x", "Z6yZ2", "Heis4", "file:", "ElemAb(4,2)"]
+        + ["Z0", "D0", "ElemAb(2,0)"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(GroupSpecError):

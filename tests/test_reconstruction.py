@@ -11,7 +11,13 @@ from pgk.graph_core import (
     brute_force_color_iso,
     induced_subgraph,
 )
-from pgk.group_core import cyclic_group, direct_product, quaternion_group
+from pgk.group_core import (
+    cyclic_group,
+    direct_product,
+    parse_group_spec,
+    quaternion_group,
+)
+from pgk.nilpotent_iso import graph_iso_nilpotent
 from pgk.numtheory import is_prime
 from pgk.powergraph_build import (
     directed_power_graph,
@@ -19,6 +25,7 @@ from pgk.powergraph_build import (
     power_graph,
 )
 from pgk.reconstruction import (
+    R4Graph,
     cdpow_from_r1,
     check_dpow,
     dpow_from_enhanced_graph,
@@ -30,7 +37,7 @@ from pgk.reconstruction import (
     r3_from_r4,
     r4_from_marked_graph,
 )
-from pgk.reductions import R4Graph, reduce_r1, reduce_r2, reduce_r3
+from pgk.reductions import reduce_r1, reduce_r2, reduce_r3
 
 from helpers import (
     color_iso,
@@ -209,6 +216,29 @@ class TestAlgorithmSteps:
             prev_ids = set(range(step.graph.n))
             prev_edges = edges
 
+    @settings(max_examples=300, deadline=None)
+    @given(r4_graphs())
+    def test_gluing_is_incremental(self, r4):
+        # the premise of r3_from_r4_steps: each prefix's graph, or refusal,
+        # is where the next prefix's gluing starts from
+        def glue(k):
+            pairs = {p: c for p, c in r4.intersection_colors.items() if p[1] < k}
+            try:
+                return r3_from_r4(R4Graph(r4.ccg_colors[:k], pairs))
+            except PipelineError as e:
+                return str(e)
+
+        prev = glue(1)
+        for k in range(2, r4.m + 1):
+            cur = glue(k)
+            if isinstance(prev, str):
+                assert cur == prev
+            elif not isinstance(cur, str):
+                assert cur.colors[: prev.n] == prev.colors
+                # contained, not equal: a later step may join two old vertices
+                assert all(a & ~b == 0 for a, b in zip(prev.masks, cur.masks))
+            prev = cur
+
     def test_conflicting_r4_is_rejected(self):
         # intersection colors violating the divisibility structure force
         # two old vertices onto one new divisor-diagram vertex
@@ -314,6 +344,16 @@ class TestFullPipelines:
         for name, G in catalog:
             D = dpow_from_power_graph(power_graph(G))
             assert D.n == G.order, name
+
+    @pytest.mark.parametrize("spec", ["Z12", "Q8xZ3", "Z2xZ6", "Z30", "Z2xZ2xZ3"])
+    def test_colored_power_graph_input(self, spec):
+        # the shadow of DPow carries element orders as colors; detection
+        # compares colors, so the pipeline must read the graph uncolored
+        G = parse_group_spec(spec)
+        X = directed_power_graph(G).undirected_shadow()
+        D = dpow_from_power_graph(X)
+        assert brute_force_color_iso(D, directed_power_graph(G)) is not None
+        assert graph_iso_nilpotent(X, X, "pow") is True
 
     def test_enhanced_pipeline_needs_enhanced_marking(self):
         # feeding an EPow graph through the power-graph detector is wrong

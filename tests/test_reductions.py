@@ -18,8 +18,8 @@ from pgk.group_core import (
 )
 from pgk.numtheory import divisors, euler_phi
 from pgk.powergraph_build import directed_power_graph
-from pgk.reconstruction import r3_from_r4
-from pgk.reductions import R4Graph, reduce_r1, reduce_r2, reduce_r3
+from pgk.reconstruction import R4Graph, r3_from_r4
+from pgk.reductions import reduce_r1, reduce_r2, reduce_r3
 
 from helpers import (
     ccg_ground_truth,
