@@ -52,9 +52,9 @@ def _r3_of(D: ColoredDiGraph) -> ColoredGraph:
     return reduce_r3(reduce_r2(reduce_r1(D).graph))
 
 
-def _sylow_vertices(D: ColoredDiGraph, primes) -> list[list[int]]:
-    """Per prime p, the vertices of p-power color (a Sylow subgroup, for a
-    nilpotent group; color 1 in every list).  Sizes must multiply to D.n."""
+def _sylow_vertices(D: ColoredDiGraph, primes, i: int) -> list[list[int]]:
+    """Per prime p, input i's vertices of p-power color (a Sylow subgroup,
+    for a nilpotent group; color 1 in every list).  Sizes must multiply to D.n."""
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(D.colors):
         by_color.setdefault(c, []).append(v)
@@ -63,8 +63,8 @@ def _sylow_vertices(D: ColoredDiGraph, primes) -> list[list[int]]:
     ]
     if (size := prod(map(len, parts))) != D.n:
         raise PipelineError(
-            "input not recognized as the directed power graph of a nilpotent "
-            f"group: per-prime component sizes multiply to {size}, not {D.n}"
+            f"input {i}: input not recognized as the directed power graph of a "
+            f"nilpotent group: per-prime component sizes multiply to {size}, not {D.n}"
         )
     return parts
 
@@ -77,7 +77,7 @@ def dpow_iso_nilpotent(D1: ColoredDiGraph, D2: ColoredDiGraph) -> bool:
     if D1.n != D2.n:
         return False
     primes = [p for p, _ in prime_factorization(D1.n)] if D1.n > 1 else []
-    for s1, s2 in zip(_sylow_vertices(D1, primes), _sylow_vertices(D2, primes)):
+    for s1, s2 in zip(_sylow_vertices(D1, primes, 1), _sylow_vertices(D2, primes, 2)):
         t1 = _r3_of(induced_subgraph(D1, s1)[0])
         t2 = _r3_of(induced_subgraph(D2, s2)[0])
         if canonical_tree_code(t1) != canonical_tree_code(t2):

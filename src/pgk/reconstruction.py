@@ -10,14 +10,18 @@ power graph (from an enhanced power graph) has another degree multiset
 than the input.  Every stage reads and writes bitmask adjacency.  The
 output is an isomorphic copy, not a relabeling of the input vertices:
 closed twins are interchangeable and the reconstruction does not try to
-tell them apart.  The per-step gluing records and the Hasse-diagram
-oracle that `r3_from_r4` is checked against live in tests/helpers.py.
+tell them apart.  R4 stores only the CCG pairs of intersection color
+other than 1, so R4 and R3 cost those pairs, not m(m-1)/2.  The per-step
+gluing records and the Hasse-diagram oracle that `r3_from_r4` is checked
+against live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 
 from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
@@ -39,15 +43,42 @@ __all__ = [
 ]
 
 
+@dataclass(eq=False)
+class _Pairs(Mapping):
+    """R4's intersection colors of pairs (i, j), i < j < m, i-major and
+    read-only.  Stored: `below[j] = {i: color}`; an absent pair reads 1."""
+
+    below: list[dict[int, int | None]]
+
+    def __getitem__(self, pair):
+        i, j = pair
+        if not 0 <= i < j < len(self.below):
+            raise KeyError(pair)
+        return self.below[j].get(i, 1)
+
+    def __iter__(self):
+        m = len(self.below)
+        return ((i, j) for i in range(m) for j in range(i + 1, m))
+
+    def __len__(self):
+        return len(self.below) * (len(self.below) - 1) // 2
+
+
 @dataclass(frozen=True)
 class R4Graph:
     """Bipartite summary: CCG vertices g_0..g_{m-1} with their colors,
-    and one intersection vertex per pair (i, j) with i < j."""
+    and one intersection vertex per pair (i, j) with i < j.  Pairs of
+    color 1 are not stored; a pair missing from a dict given reads None."""
 
     ccg_colors: tuple[int, ...]
-    intersection_colors: dict[tuple[int, int], int]
+    intersection_colors: Mapping[tuple[int, int], int]
     # the marked input graph's CC vertex behind each g_i (R3's, if built from R3)
     ccg_vertices: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if not isinstance(p := self.intersection_colors, _Pairs) or len(p.below) != self.m:
+            below = [{i: c for i in range(j) if (c := p.get((i, j))) != 1} for j in range(self.m)]
+            object.__setattr__(self, "intersection_colors", _Pairs(below))
 
     @property
     def m(self) -> int:
@@ -56,7 +87,7 @@ class R4Graph:
     def to_colored_graph(self) -> ColoredGraph:
         """Materialize as a colored bipartite graph: A-side vertices
         0..m-1, then one B-side vertex per pair in pair order."""
-        m, pairs = self.m, sorted(self.intersection_colors)
+        m, pairs = self.m, list(self.intersection_colors)
         colors = self.ccg_colors + tuple(self.intersection_colors[p] for p in pairs)
         masks = [1 << v for v in range(len(colors))]
         for b, (i, j) in enumerate(pairs, m):
@@ -73,25 +104,33 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
     closed neighborhood corresponds to the cyclic subgroup it generates);
     the B-vertex for a pair is colored by the size of the two closed
     neighborhoods' intersection.  CC vertices are ordered ascending by
-    (color, index).
+    (color, index).  Only pairs sharing a vertex other than z, the lowest
+    in every closed neighborhood (the identity), are stored; if no vertex
+    is in all of them, the others are disjoint and refused.
     """
     cc = sorted(marking.cc_vertices, key=lambda v: (Gamma.degree(v) + 1, v))
     if not cc:
         raise PipelineError("marking contains no CC vertex")
     closed = [Gamma.masks[g] for g in cc]
-    inter: dict[tuple[int, int], int] = {}
-    for i in range(len(cc)):
-        for j in range(i + 1, len(cc)):
-            size = (closed[i] & closed[j]).bit_count()
-            if size == 0:
-                raise PipelineError(
-                    "not a power graph: CC vertices "
-                    f"{cc[i]} and {cc[j]} have disjoint closed neighborhoods"
-                )
-            inter[(i, j)] = size
+    z = reduce(int.__and__, closed)
+    z &= -z
+    # owners[v]: the CC indices whose closed neighborhood holds v
+    owners = scatter(((nb & ~z, 1 << i) for i, nb in enumerate(closed)), Gamma.n)
+    shared = dict.fromkeys(o for o in owners if o & (o - 1))
+    partners = scatter(zip(shared, shared), len(cc))
+    for i, p in enumerate(partners if not z else ()):
+        if apart := ~p & ((1 << len(cc)) - (2 << i)):  # non-partners above i
+            raise PipelineError(
+                "not a power graph: CC vertices "
+                f"{cc[i]} and {cc[bits(apart)[0]]} have disjoint closed neighborhoods"
+            )
+    below = [
+        {i: (closed[i] & nb).bit_count() for i in bits(p & ((1 << j) - 1))}
+        for j, (nb, p) in enumerate(zip(closed, partners))
+    ]
     return R4Graph(
         ccg_colors=tuple(nb.bit_count() for nb in closed),
-        intersection_colors=inter,
+        intersection_colors=_Pairs(below),
         ccg_vertices=tuple(cc),
     )
 
@@ -106,7 +145,8 @@ def r3_from_r4(X: R4Graph) -> ColoredGraph:
     `lattices[s]` maps each such divisor to its vertex, and the lattice
     of g_j shares with g_s exactly the divisors of their intersection
     color c: gluing reads them off `lattices[s]`, with no search of the
-    graph.  Each divisor d is joined to d // p for each prime p | d.
+    graph.  Each divisor d is joined to d // p for each prime p | d.  A
+    pair of color 1 shares divisor 1 alone, so only stored pairs are read.
     """
     if X.m == 0:
         raise PipelineError("R4 graph with no CCG vertices")
@@ -116,9 +156,9 @@ def r3_from_r4(X: R4Graph) -> ColoredGraph:
     for j, cj in enumerate(X.ccg_colors):
         if cj < 1:
             raise PipelineError(f"CCG vertex {j} has color {cj}, below 1")
-        lattice: dict[int, int] = {}
-        for s in range(j):
-            cs, c = X.ccg_colors[s], X.intersection_colors.get((s, j))
+        lattice = {1: lattices[0][1]} if j else {}
+        for s, c in X.intersection_colors.below[j].items():
+            cs = X.ccg_colors[s]
             if c is None or c < 1 or cs % c or cj % c:
                 raise PipelineError(
                     f"CCG pair ({s}, {j}) needs an intersection color "

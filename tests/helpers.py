@@ -413,6 +413,31 @@ def reduce_r4(X: ColoredGraph) -> R4Graph:
     )
 
 
+def dense_r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
+    """r4_from_marked_graph as one loop over all m(m-1)/2 pairs of CC
+    vertices, refusing the first disjoint pair in (i, j) order: the oracle
+    that the library's search for the non-trivial pairs is checked against."""
+    cc = sorted(marking.cc_vertices, key=lambda v: (Gamma.degree(v) + 1, v))
+    if not cc:
+        raise PipelineError("marking contains no CC vertex")
+    closed = [Gamma.masks[g] for g in cc]
+    inter: dict[tuple[int, int], int] = {}
+    for i in range(len(cc)):
+        for j in range(i + 1, len(cc)):
+            size = (closed[i] & closed[j]).bit_count()
+            if size == 0:
+                raise PipelineError(
+                    "not a power graph: CC vertices "
+                    f"{cc[i]} and {cc[j]} have disjoint closed neighborhoods"
+                )
+            inter[(i, j)] = size
+    return R4Graph(
+        ccg_colors=tuple(nb.bit_count() for nb in closed),
+        intersection_colors=inter,
+        ccg_vertices=tuple(cc),
+    )
+
+
 def hasse_divisor_graph(n: int) -> ColoredGraph:
     """Hasse diagram of the divisors of n: one vertex per divisor (its
     color), edges between divisors at prime ratio.  The definitional
@@ -1149,14 +1174,14 @@ def _reference_r3_of(D: ColoredDiGraph) -> ColoredGraph:
     return reduce_r3(reduce_r2(reduce_r1(D).graph))
 
 
-def _reference_check_nilpotent_shape(D: ColoredDiGraph, primes) -> None:
+def _reference_check_nilpotent_shape(D: ColoredDiGraph, primes, name: str) -> None:
     prod = 1
     for p in primes:
         prod *= sum(1 for c in D.colors if is_power_of(c, p))
     if prod != D.n:
         raise PipelineError(
-            "input not recognized as the directed power graph of a nilpotent "
-            f"group: per-prime component sizes multiply to {prod}, not {D.n}"
+            f"{name}: input not recognized as the directed power graph of a "
+            f"nilpotent group: per-prime component sizes multiply to {prod}, not {D.n}"
         )
 
 
@@ -1164,8 +1189,8 @@ def reference_dpow_iso_nilpotent(D1: ColoredDiGraph, D2: ColoredDiGraph) -> bool
     if D1.n != D2.n:
         return False
     primes = [p for p, _ in prime_factorization(D1.n)] if D1.n > 1 else []
-    _reference_check_nilpotent_shape(D1, primes)
-    _reference_check_nilpotent_shape(D2, primes)
+    _reference_check_nilpotent_shape(D1, primes, "input 1")
+    _reference_check_nilpotent_shape(D2, primes, "input 2")
     for p in primes:
         t1 = _reference_r3_of(p_component(D1, p))
         t2 = _reference_r3_of(p_component(D2, p))

@@ -492,6 +492,21 @@ class TestIso:
         a = self._write(tmp_path, "a.graph", directed_power_graph(s3), True)
         assert run("iso", a, a, "--kind", "dpow") == 4
 
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_non_nilpotent_shape_names_its_input(self, tmp_path, capsys, at):
+        # D3 lifts to a directed power graph, but its Sylow parts multiply to 12
+        d3, z6 = tmp_path / "d3.pow", tmp_path / "z6.pow"
+        assert run("generate", "D3", "--kind", "pow", "--out", str(d3)) == 0
+        assert run("generate", "Z6", "--kind", "pow", "--out", str(z6)) == 0
+        files = [z6, z6]
+        files[at - 1] = d3
+        capsys.readouterr()
+        assert run("iso", *map(str, files), "--kind", "pow") == 4
+        assert capsys.readouterr().err == (
+            f"error: input {at}: input not recognized as the directed power graph "
+            "of a nilpotent group: per-prime component sizes multiply to 12, not 6\n"
+        )
+
     def test_dpow_files_with_different_arc_counts(self, tmp_path, capsys):
         # dropping "5 0" moves vertex 5's out-degree from 6 to 5, a color
         # no Sylow part holds, so only the color multisets differ

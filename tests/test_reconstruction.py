@@ -1,9 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pgk.ccg_detection import mark_ccg_enhanced, mark_ccg_power
+from pgk.ccg_detection import CC, NC, CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from pgk.errors import PipelineError
 from pgk.graph_core import (
     ColoredDiGraph,
@@ -14,6 +15,7 @@ from pgk.graph_core import (
 from pgk.group_core import (
     cyclic_group,
     direct_product,
+    elementary_abelian_group,
     parse_group_spec,
     quaternion_group,
 )
@@ -41,7 +43,9 @@ from pgk.reductions import reduce_r1, reduce_r2, reduce_r3
 
 from helpers import (
     color_iso,
+    dense_r4_from_marked_graph,
     descendants,
+    dicyclic_group,
     hasse_divisor_graph,
     make_rng,
     r3_from_r4_steps,
@@ -58,6 +62,9 @@ def klein_four():
 
 def true_r3(G):
     return reduce_r3(reduce_r2(reduce_r1(directed_power_graph(G)).graph))
+
+
+HEXAGON = ColoredGraph(6, (1,) * 6, [(0, 1), (1, 2), (2, 5), (4, 5), (3, 4), (0, 3)])
 
 
 class TestR4FromMarkedGraph:
@@ -97,6 +104,67 @@ class TestR4FromMarkedGraph:
 
         with pytest.raises(PipelineError):
             r4_from_marked_graph(Gamma, CcgMarking((NC,) * 4, ()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(10), st.lists(st.booleans(), min_size=10, max_size=10))
+    # a hexagon, every vertex CC: (0, 5), (1, 4) and (2, 3) are disjoint,
+    # and a scan by the later index would name (2, 3)
+    @example(HEXAGON, [True] * 10)
+    def test_matches_dense_oracle(self, Gamma, cc):
+        # any graph and any CC labels: the same R4, or the same refusal,
+        # which names the first disjoint pair in (i, j) order
+        labels = tuple(CC if cc[v] else NC for v in range(Gamma.n))
+        marking = CcgMarking(labels, tuple(range(Gamma.n)))
+
+        def summary(build):
+            try:
+                r4 = build(Gamma, marking)
+            except PipelineError as exc:
+                return str(exc)
+            return r4.ccg_colors, r4.ccg_vertices, dict(r4.intersection_colors.items())
+
+        assert summary(r4_from_marked_graph) == summary(dense_r4_from_marked_graph)
+
+    @pytest.mark.parametrize("name, kind, stored", [("S3", "pow", 0), ("Dic4", "epow", 10)])
+    def test_pairs_mapping_contract(self, s3, name, kind, stored):
+        # S3's pairs all meet in the identity; Dic4's all share its central
+        # involution, so every pair of Dic4 is stored and none of S3
+        G = s3 if name == "S3" else dicyclic_group(4)
+        Gamma = (power_graph if kind == "pow" else enhanced_power_graph)(G)
+        marking = (mark_ccg_power if kind == "pow" else mark_ccg_enhanced)(Gamma)
+        r4 = r4_from_marked_graph(Gamma, marking)
+        pairs, m = r4.intersection_colors, r4.m
+        closed = [Gamma.masks[g] for g in r4.ccg_vertices]
+        dense = {
+            (i, j): (closed[i] & closed[j]).bit_count()
+            for i in range(m)
+            for j in range(i + 1, m)
+        }
+        assert len(pairs) == m * (m - 1) // 2 == len(dense)
+        assert list(pairs) == sorted(pairs) == list(dense)
+        assert sum(map(len, pairs.below)) == stored
+        absent = [(i, j) for j, b in enumerate(pairs.below) for i in range(j) if i not in b]
+        assert all(pairs[p] == 1 for p in absent)
+        for bad in [(1, 0), (0, 0), (-1, 1), (0, m), (m, m + 1)]:
+            with pytest.raises(KeyError):
+                pairs[bad]
+        assert pairs == dense and dense == pairs
+        oracle = dense_r4_from_marked_graph(Gamma, marking)
+        assert r4.to_colored_graph() == oracle.to_colored_graph()
+
+    def test_sparse_pairs_peak_memory(self):
+        # EPow(ElemAb(2,10)): m = 1,023 and every pair of color 1.  Storing
+        # all m(m-1)/2 pairs peaked at 63 MiB; only non-trivial ones, 0.5 MiB
+        Gamma = enhanced_power_graph(elementary_abelian_group(2, 10))
+        marking = mark_ccg_enhanced(Gamma)
+        tracemalloc.start()
+        try:
+            r3 = r3_from_r4(r4_from_marked_graph(Gamma, marking))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r3.n == 1024
+        assert peak < 4 * 2**20
 
 
 @st.composite
