@@ -37,6 +37,7 @@ from .reconstruction import (
     cdpow_from_r1,
     check_dpow,
     epow_from_dpow,
+    format_r4,
     pow_from_dpow,
     r1_from_r2,
     r2_from_r3,
@@ -145,10 +146,12 @@ def _detect(args) -> int:
 def _reconstruct(args) -> int:
     [graph] = _read(args.kind, args.input)
     out = _stages(graph, args.kind)[args.emit_stage]
-    if args.emit_stage == "r4":
-        out = out.to_colored_graph()
+    if args.emit_stage == "r4":  # R4 is a record, written without a graph
+        text = format_r4(out)
+    else:
+        text = format_graph(out, with_colors=args.emit_stage != "dpow")
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(out, with_colors=args.emit_stage != "dpow"))
+        fh.write(text)
     return EXIT_OK
 
 

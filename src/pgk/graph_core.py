@@ -38,6 +38,7 @@ __all__ = [
     "brute_force_color_iso",
     "relabel",
     "format_graph",
+    "format_rows",
     "parse_graph",
     "load_graph",
 ]
@@ -371,20 +372,25 @@ def brute_force_color_iso(X, Y, cap: int = ISO_CAP_DEFAULT):
 
 def format_graph(X, with_colors: bool = True) -> str:
     directed = isinstance(X, ColoredDiGraph)
-    lines = [f"{'digraph' if directed else 'graph'} {X.n}"]
+    rows = (bits(m if directed else m & -(2 << u)) for u, m in enumerate(_masks(X)))
+    return format_rows(X.colors, rows, directed, with_colors)
+
+
+def format_rows(colors, rows, directed: bool = False, with_colors: bool = True) -> str:
+    """The text of a graph on len(colors) vertices whose u-th row lists
+    u's out-neighbors (undirected: its neighbors above it) ascending; a
+    vertex with no row has none."""
+    lines = [f"{'digraph' if directed else 'graph'} {len(colors)}"]
     if with_colors:
-        lines.append("colors " + " ".join(str(c) for c in X.colors))
+        lines.append("colors " + " ".join(str(c) for c in colors))
     else:
         lines.append("nocolors")
-    names = [str(v) for v in range(X.n)]
-    # one string per vertex: its out-neighbors (undirected: neighbors
-    # above it), ascending
-    for u, m in enumerate(_masks(X)):
-        if not directed:
-            m &= -(2 << u)
-        if m:
+    names = [str(v) for v in range(len(colors))]
+    # one string per vertex with a neighbor in its row
+    for u, row in enumerate(rows):
+        if row:
             head = names[u] + " "
-            lines.append(head + ("\n" + head).join(map(names.__getitem__, bits(m))))
+            lines.append(head + ("\n" + head).join(map(names.__getitem__, row)))
     lines.append("")
     return "\n".join(lines)
 

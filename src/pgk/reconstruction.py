@@ -2,34 +2,36 @@
 power graph, and converting between the directed and enhanced forms.
 
 The pipeline is: mark a CCG-set, summarize into R4, rebuild R3 by gluing
-divisor Hasse diagrams, orient back to R2, close up to R1, and expand
-twin classes into the full colored directed power graph; `check_dpow`
-then rejects a result whose vertex count differs from the input's, or,
-in one degree comparison, whose shadow (from a power graph) or enhanced
-power graph (from an enhanced power graph) has another degree multiset
-than the input.  Every stage reads and writes bitmask adjacency.  The
-output is an isomorphic copy, not a relabeling of the input vertices:
-closed twins are interchangeable and the reconstruction does not try to
-tell them apart.  R4 stores only the CCG pairs of intersection color
-other than 1, so R4 and R3 cost those pairs, not m(m-1)/2.  The per-step
-gluing records and the Hasse-diagram oracle that `r3_from_r4` is checked
-against live in tests/helpers.py.
+the divisor lattice of each CCG color, orient back to R2, close up to
+R1, and expand twin classes into the full colored directed power graph;
+`check_dpow` then rejects a result whose vertex count differs from the
+input's, or, in one degree comparison, whose shadow (from a power graph)
+or enhanced power graph (from an enhanced power graph) has another
+degree multiset than the input.  Every stage from R3 on reads and writes
+bitmask adjacency.  The output is an isomorphic copy, not a relabeling
+of the input vertices: closed twins are interchangeable and the
+reconstruction does not try to tell them apart.  R4 is a record of the
+CCG colors and, per g_j, the pairs (i, j) of intersection color other
+than 1, so R4 and R3 cost those pairs, not m(m-1)/2; only `format_r4`,
+which writes R4 as its bipartite graph file, visits every pair.  The
+per-step gluing records and the Hasse-diagram oracle that `r3_from_r4`
+is checked against live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 
 from .ccg_detection import CcgMarking, mark_ccg_enhanced, mark_ccg_power
 from .errors import PipelineError
-from .graph_core import ColoredDiGraph, ColoredGraph, bits, reach, scatter
+from .graph_core import ColoredDiGraph, ColoredGraph, bits, format_rows, reach, scatter
 from .numtheory import divisors, euler_phi, is_prime, prime_factorization
 
 __all__ = [
     "R4Graph",
+    "format_r4",
     "r4_from_marked_graph",
     "r3_from_r4",
     "r2_from_r3",
@@ -43,58 +45,36 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class _Pairs(Mapping):
-    """R4's intersection colors of pairs (i, j), i < j < m, i-major and
-    read-only.  Stored: `below[j] = {i: color}`; an absent pair reads 1."""
-
-    below: list[dict[int, int | None]]
-
-    def __getitem__(self, pair):
-        i, j = pair
-        if not 0 <= i < j < len(self.below):
-            raise KeyError(pair)
-        return self.below[j].get(i, 1)
-
-    def __iter__(self):
-        m = len(self.below)
-        return ((i, j) for i in range(m) for j in range(i + 1, m))
-
-    def __len__(self):
-        return len(self.below) * (len(self.below) - 1) // 2
-
-
 @dataclass(frozen=True)
 class R4Graph:
     """Bipartite summary: CCG vertices g_0..g_{m-1} with their colors,
-    and one intersection vertex per pair (i, j) with i < j.  Pairs of
-    color 1 are not stored; a pair missing from a dict given reads None."""
+    and one intersection vertex per pair (i, j), i < j, whose color is
+    below[j][i] if stored, else 1.  Only pairs of color other than 1 are
+    stored."""
 
     ccg_colors: tuple[int, ...]
-    intersection_colors: Mapping[tuple[int, int], int]
+    below: list[dict[int, int]]  # below[j] = {i: color of (i, j)}, i < j
     # the marked input graph's CC vertex behind each g_i (R3's, if built from R3)
     ccg_vertices: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if not isinstance(p := self.intersection_colors, _Pairs) or len(p.below) != self.m:
-            below = [{i: c for i in range(j) if (c := p.get((i, j))) != 1} for j in range(self.m)]
-            object.__setattr__(self, "intersection_colors", _Pairs(below))
 
     @property
     def m(self) -> int:
         return len(self.ccg_colors)
 
-    def to_colored_graph(self) -> ColoredGraph:
-        """Materialize as a colored bipartite graph: A-side vertices
-        0..m-1, then one B-side vertex per pair in pair order."""
-        m, pairs = self.m, list(self.intersection_colors)
-        colors = self.ccg_colors + tuple(self.intersection_colors[p] for p in pairs)
-        masks = [1 << v for v in range(len(colors))]
-        for b, (i, j) in enumerate(pairs, m):
-            masks[b] |= 1 << i | 1 << j
-            masks[i] |= 1 << b
-            masks[j] |= 1 << b
-        return ColoredGraph._from_masks(len(colors), colors, masks)
+
+def format_r4(X: R4Graph) -> str:
+    """R4 as graph-file text: A-side vertices 0..m-1, then one B-side
+    vertex per pair (i, j) in i-major order, (i, i + 1) at first[i].
+    g_i's neighbors are the pairs (s, i), s < i, then (i, i + 1) ..
+    (i, m - 1); a B-side vertex has none above it."""
+    m = X.m
+    first = [m + i * m - i * (i + 1) // 2 for i in range(m)]
+    pair_colors = [X.below[j].get(i, 1) for i in range(m) for j in range(i + 1, m)]
+    rows = (
+        [first[s] + i - s - 1 for s in range(i)] + list(range(first[i], first[i] + m - 1 - i))
+        for i in range(m)
+    )
+    return format_rows(X.ccg_colors + tuple(pair_colors), rows)
 
 
 def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
@@ -130,7 +110,7 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
     ]
     return R4Graph(
         ccg_colors=tuple(nb.bit_count() for nb in closed),
-        intersection_colors=_Pairs(below),
+        below=below,
         ccg_vertices=tuple(cc),
     )
 
@@ -157,7 +137,7 @@ def r3_from_r4(X: R4Graph) -> ColoredGraph:
         if cj < 1:
             raise PipelineError(f"CCG vertex {j} has color {cj}, below 1")
         lattice = {1: lattices[0][1]} if j else {}
-        for s, c in X.intersection_colors.below[j].items():
+        for s, c in X.below[j].items():
             cs = X.ccg_colors[s]
             if c is None or c < 1 or cs % c or cj % c:
                 raise PipelineError(

@@ -357,7 +357,34 @@ def twin_profile(X: ColoredGraph) -> TwinProfile:
 
 
 def intersection_color(X: R4Graph, i: int, j: int) -> int:
-    return X.intersection_colors[(min(i, j), max(i, j))]
+    return X.below[max(i, j)].get(min(i, j), 1)
+
+
+def r4_graph(colors, pairs, vertices=None) -> R4Graph:
+    """An R4 record from a dict of pair colors, {(i, j): color} with
+    i < j: pairs of color 1 are dropped, and a pair missing from the dict
+    reads None, which the gluing refuses."""
+    below = [{i: c for i in range(j) if (c := pairs.get((i, j))) != 1} for j in range(len(colors))]
+    return R4Graph(tuple(colors), below, vertices)
+
+
+def pair_colors(X: R4Graph) -> dict[tuple[int, int], int]:
+    """The color of every pair (i, j), i < j, i-major, 1 if not stored."""
+    return {(i, j): X.below[j].get(i, 1) for i in range(X.m) for j in range(i + 1, X.m)}
+
+
+def r4_bipartite(X: R4Graph) -> ColoredGraph:
+    """Materialize as a colored bipartite graph: A-side vertices
+    0..m-1, then one B-side vertex per pair in pair order.  The
+    reference that format_r4's arithmetic rows are checked against."""
+    m, pairs = X.m, pair_colors(X)
+    colors = X.ccg_colors + tuple(pairs.values())
+    masks = [1 << v for v in range(len(colors))]
+    for b, (i, j) in enumerate(pairs, m):
+        masks[b] |= 1 << i | 1 << j
+        masks[i] |= 1 << b
+        masks[j] |= 1 << b
+    return ColoredGraph._from_masks(len(colors), colors, masks)
 
 
 def descendants(X: ColoredGraph, v: int) -> set[int]:
@@ -406,11 +433,7 @@ def reduce_r4(X: ColoredGraph) -> R4Graph:
                     f"{best} for CCG pair ({ccg[i]}, {ccg[j]})"
                 )
             inter[(i, j)] = best
-    return R4Graph(
-        ccg_colors=tuple(X.colors[g] for g in ccg),
-        intersection_colors=inter,
-        ccg_vertices=tuple(ccg),
-    )
+    return r4_graph(tuple(X.colors[g] for g in ccg), inter, tuple(ccg))
 
 
 def dense_r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
@@ -431,11 +454,7 @@ def dense_r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Gr
                     f"{cc[i]} and {cc[j]} have disjoint closed neighborhoods"
                 )
             inter[(i, j)] = size
-    return R4Graph(
-        ccg_colors=tuple(nb.bit_count() for nb in closed),
-        intersection_colors=inter,
-        ccg_vertices=tuple(cc),
-    )
+    return r4_graph(tuple(nb.bit_count() for nb in closed), inter, tuple(cc))
 
 
 def hasse_divisor_graph(n: int) -> ColoredGraph:
@@ -476,13 +495,12 @@ def r3_from_r4_steps(X: R4Graph) -> list[Algorithm3Step]:
     steps: list[Algorithm3Step] = []
     tops: list[int] = []
     for j, cj in enumerate(X.ccg_colors):
-        pairs = {p: c for p, c in X.intersection_colors.items() if p[1] <= j}
-        graph = r3_from_r4(R4Graph(X.ccg_colors[: j + 1], pairs))
+        graph = r3_from_r4(R4Graph(X.ccg_colors[: j + 1], X.below[: j + 1]))
         before = steps[-1].graph.n if steps else 0
         if graph.n > before:
             tops.append(graph.n - 1)
         else:
-            s = next(s for s in range(j) if pairs[(s, j)] == cj)
+            s = next(s for s in range(j) if intersection_color(X, s, j) == cj)
             below = descendants(graph, tops[s])
             tops.append(next(v for v in below if graph.colors[v] == cj))
         below = descendants(graph, tops[-1])

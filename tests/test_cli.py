@@ -31,7 +31,15 @@ from pgk.reconstruction import (
     r4_from_marked_graph,
 )
 
-from helpers import make_rng, s3_cayley_text, save_graph, small_digraphs, small_graphs
+from helpers import (
+    dicyclic_group,
+    make_rng,
+    r4_bipartite,
+    s3_cayley_text,
+    save_graph,
+    small_digraphs,
+    small_graphs,
+)
 
 
 def run(*argv):
@@ -226,28 +234,34 @@ class TestReconstruct:
     @pytest.mark.parametrize("kind", ["pow", "epow"])
     @pytest.mark.parametrize("stage", ["r4", "r3", "r2", "r1", "cdpow", "dpow"])
     def test_every_stage_matches_library(self, tmp_path, kind, stage):
-        G = direct_product(cyclic_group(2), cyclic_group(6))
+        # Dic4 stores every R4 pair, ElemAb(2,4) none
+        groups = {
+            "Z2xZ6": direct_product(cyclic_group(2), cyclic_group(6)),
+            "Dic4": dicyclic_group(4),
+            "ElemAb(2,4)": parse_group_spec("ElemAb(2,4)"),
+        }
         build = power_graph if kind == "pow" else enhanced_power_graph
         src, out = tmp_path / "in.graph", tmp_path / "out.graph"
-        save_graph(build(G), src, with_colors=False)
-        assert run(
-            "reconstruct", str(src), "--kind", kind,
-            "--out", str(out), "--emit-stage", stage,
-        ) == 0
-        graph = load_graph(src)
-        marker = mark_ccg_power if kind == "pow" else mark_ccg_enhanced
-        r4 = r4_from_marked_graph(graph, marker(graph))
-        r3 = r3_from_r4(r4)
-        r2 = r2_from_r3(r3)
-        r1 = r1_from_r2(r2)
-        cdpow = cdpow_from_r1(r1)
-        expected = {
-            "r4": r4.to_colored_graph(), "r3": r3, "r2": r2, "r1": r1,
-            "cdpow": cdpow, "dpow": cdpow,
-        }[stage]
-        assert out.read_text() == format_graph(
-            expected, with_colors=stage != "dpow"
-        )
+        for name, G in groups.items():
+            save_graph(build(G), src, with_colors=False)
+            assert run(
+                "reconstruct", str(src), "--kind", kind,
+                "--out", str(out), "--emit-stage", stage,
+            ) == 0, name
+            graph = load_graph(src)
+            marker = mark_ccg_power if kind == "pow" else mark_ccg_enhanced
+            r4 = r4_from_marked_graph(graph, marker(graph))
+            r3 = r3_from_r4(r4)
+            r2 = r2_from_r3(r3)
+            r1 = r1_from_r2(r2)
+            cdpow = cdpow_from_r1(r1)
+            expected = {
+                "r4": r4_bipartite(r4), "r3": r3, "r2": r2, "r1": r1,
+                "cdpow": cdpow, "dpow": cdpow,
+            }[stage]
+            assert out.read_text() == format_graph(
+                expected, with_colors=stage != "dpow"
+            ), name
 
     def test_pipeline_error_exit_4(self, tmp_path):
         src = tmp_path / "c5.graph"

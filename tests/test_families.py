@@ -35,6 +35,7 @@ from helpers import (
     is_nilpotent,
     make_rng,
     metacyclic_group,
+    pair_colors,
     random_relabel,
     save_graph,
 )
@@ -90,8 +91,8 @@ def test_dicyclic_r4_pairs_all_have_color_2(k, kind):
     mark = mark_ccg_power if kind == "pow" else mark_ccg_enhanced
     r4 = r4_from_marked_graph(graph, mark(graph))
     assert r4.m == k + 1
-    assert len(r4.intersection_colors) == r4.m * (r4.m - 1) // 2
-    assert set(r4.intersection_colors.values()) == {2}
+    assert len(pair_colors(r4)) == r4.m * (r4.m - 1) // 2
+    assert set(pair_colors(r4).values()) == {2}
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))

@@ -10,7 +10,9 @@ from pgk.graph_core import (
     ColoredDiGraph,
     ColoredGraph,
     brute_force_color_iso,
+    format_graph,
     induced_subgraph,
+    parse_graph,
 )
 from pgk.group_core import (
     cyclic_group,
@@ -27,12 +29,12 @@ from pgk.powergraph_build import (
     power_graph,
 )
 from pgk.reconstruction import (
-    R4Graph,
     cdpow_from_r1,
     check_dpow,
     dpow_from_enhanced_graph,
     dpow_from_power_graph,
     epow_from_dpow,
+    format_r4,
     pow_from_dpow,
     r1_from_r2,
     r2_from_r3,
@@ -46,9 +48,13 @@ from helpers import (
     dense_r4_from_marked_graph,
     descendants,
     dicyclic_group,
+    family_groups,
     hasse_divisor_graph,
     make_rng,
+    pair_colors,
     r3_from_r4_steps,
+    r4_bipartite,
+    r4_graph,
     random_relabel,
     reduce_r4,
     small_digraphs,
@@ -72,7 +78,7 @@ class TestR4FromMarkedGraph:
         Gamma = power_graph(klein_four())
         r4 = r4_from_marked_graph(Gamma, mark_ccg_power(Gamma))
         assert r4.ccg_colors == (2, 2, 2)
-        assert all(c == 1 for c in r4.intersection_colors.values())
+        assert all(c == 1 for c in pair_colors(r4).values())
 
     def test_clique_case(self):
         Gamma = power_graph(cyclic_group(8))
@@ -84,8 +90,8 @@ class TestR4FromMarkedGraph:
         Gamma = power_graph(s3)
         r4 = r4_from_marked_graph(Gamma, mark_ccg_power(Gamma))
         assert r4.ccg_colors == (2, 2, 2, 3)
-        assert len(r4.intersection_colors) == 6
-        assert all(c == 1 for c in r4.intersection_colors.values())
+        assert len(pair_colors(r4)) == 6
+        assert all(c == 1 for c in pair_colors(r4).values())
 
     def test_matches_reduction_r4(self, catalog):
         # building R4 from the marked power graph agrees with reducing
@@ -95,7 +101,7 @@ class TestR4FromMarkedGraph:
             from_graph = r4_from_marked_graph(Gamma, mark_ccg_power(Gamma))
             from_r3 = reduce_r4(true_r3(G))
             assert color_iso(
-                from_graph.to_colored_graph(), from_r3.to_colored_graph(), cap=100
+                r4_bipartite(from_graph), r4_bipartite(from_r3), cap=100
             ), name
 
     def test_rejects_empty_marking(self):
@@ -121,36 +127,31 @@ class TestR4FromMarkedGraph:
                 r4 = build(Gamma, marking)
             except PipelineError as exc:
                 return str(exc)
-            return r4.ccg_colors, r4.ccg_vertices, dict(r4.intersection_colors.items())
+            return r4.ccg_colors, r4.ccg_vertices, pair_colors(r4)
 
         assert summary(r4_from_marked_graph) == summary(dense_r4_from_marked_graph)
 
     @pytest.mark.parametrize("name, kind, stored", [("S3", "pow", 0), ("Dic4", "epow", 10)])
-    def test_pairs_mapping_contract(self, s3, name, kind, stored):
+    def test_below_contract(self, s3, name, kind, stored):
         # S3's pairs all meet in the identity; Dic4's all share its central
         # involution, so every pair of Dic4 is stored and none of S3
         G = s3 if name == "S3" else dicyclic_group(4)
         Gamma = (power_graph if kind == "pow" else enhanced_power_graph)(G)
         marking = (mark_ccg_power if kind == "pow" else mark_ccg_enhanced)(Gamma)
         r4 = r4_from_marked_graph(Gamma, marking)
-        pairs, m = r4.intersection_colors, r4.m
         closed = [Gamma.masks[g] for g in r4.ccg_vertices]
-        dense = {
-            (i, j): (closed[i] & closed[j]).bit_count()
-            for i in range(m)
-            for j in range(i + 1, m)
+        nontrivial = {
+            (i, j): c
+            for j in range(r4.m)
+            for i in range(j)
+            if (c := (closed[i] & closed[j]).bit_count()) != 1
         }
-        assert len(pairs) == m * (m - 1) // 2 == len(dense)
-        assert list(pairs) == sorted(pairs) == list(dense)
-        assert sum(map(len, pairs.below)) == stored
-        absent = [(i, j) for j, b in enumerate(pairs.below) for i in range(j) if i not in b]
-        assert all(pairs[p] == 1 for p in absent)
-        for bad in [(1, 0), (0, 0), (-1, 1), (0, m), (m, m + 1)]:
-            with pytest.raises(KeyError):
-                pairs[bad]
-        assert pairs == dense and dense == pairs
-        oracle = dense_r4_from_marked_graph(Gamma, marking)
-        assert r4.to_colored_graph() == oracle.to_colored_graph()
+        stored_pairs = [(i, j) for j, b in enumerate(r4.below) for i in b]
+        assert len(r4.below) == r4.m
+        assert all(0 <= i < j for i, j in stored_pairs)
+        assert {(i, j): r4.below[j][i] for i, j in stored_pairs} == nontrivial
+        assert len(stored_pairs) == stored
+        assert format_r4(r4) == format_graph(r4_bipartite(r4))
 
     def test_sparse_pairs_peak_memory(self):
         # EPow(ElemAb(2,10)): m = 1,023 and every pair of color 1.  Storing
@@ -172,19 +173,55 @@ def r4_graphs(draw):
     """Arbitrary R4 summaries: m <= 5, colors 1-12, every pair present."""
     colors = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
     pairs = [(i, j) for j in range(len(colors)) for i in range(j)]
-    return R4Graph(tuple(colors), {p: draw(st.integers(1, 12)) for p in pairs})
+    return r4_graph(tuple(colors), {p: draw(st.integers(1, 12)) for p in pairs})
+
+
+def check_r4_text(r4):
+    """format_r4 writes what format_graph writes for R4's bipartite
+    graph, and parse_graph reads that graph back."""
+    text = format_r4(r4)
+    assert text == format_graph(r4_bipartite(r4))
+    assert parse_graph(text) == r4_bipartite(r4)
+
+
+class TestFormatR4:
+    @settings(max_examples=300, deadline=None)
+    @given(r4_graphs())
+    def test_arbitrary_r4_matches_bipartite_graph(self, r4):
+        check_r4_text(r4)
+
+    @pytest.mark.parametrize("kind", ["pow", "epow"])
+    def test_family_r4_matches_bipartite_graph(self, kind):
+        build = power_graph if kind == "pow" else enhanced_power_graph
+        mark = mark_ccg_power if kind == "pow" else mark_ccg_enhanced
+        for _, G in family_groups():
+            Gamma = build(G)
+            check_r4_text(r4_from_marked_graph(Gamma, mark(Gamma)))
+
+    def test_peak_memory(self):
+        # EPow(ElemAb(2,8)): m = 255, 32,640 vertices, every pair of color
+        # 1.  Through a bipartite graph of 32,640-bit masks the text peaked
+        # at 73 MiB; from the record's arithmetic rows, 3.7 MiB
+        Gamma = enhanced_power_graph(elementary_abelian_group(2, 8))
+        r4 = r4_from_marked_graph(Gamma, mark_ccg_enhanced(Gamma))
+        tracemalloc.start()
+        try:
+            text = format_r4(r4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.startswith("graph 32640\n")
+        assert text.count("\n") == 2 + 255 * 254
+        assert peak < 16 * 2**20
 
 
 class TestR3FromR4:
     def test_single_ccg_gives_divisor_diagram(self):
-        r4 = R4Graph(ccg_colors=(12,), intersection_colors={})
+        r4 = r4_graph((12,), {})
         assert r3_from_r4(r4) == hasse_divisor_graph(12)
 
     def test_klein_four_star(self):
-        r4 = R4Graph(
-            ccg_colors=(2, 2, 2),
-            intersection_colors={(0, 1): 1, (0, 2): 1, (1, 2): 1},
-        )
+        r4 = r4_graph((2, 2, 2), {(0, 1): 1, (0, 2): 1, (1, 2): 1})
         r3 = r3_from_r4(r4)
         assert r3.n == 4
         assert sorted(r3.colors) == [1, 2, 2, 2]
@@ -192,28 +229,25 @@ class TestR3FromR4:
         assert r3.degree(center) == 3
 
     def test_s3_tree(self):
-        r4 = R4Graph(
-            ccg_colors=(2, 2, 2, 3),
-            intersection_colors={(i, j): 1 for i in range(4) for j in range(i + 1, 4)},
-        )
+        r4 = r4_graph((2, 2, 2, 3), {(i, j): 1 for i in range(4) for j in range(i + 1, 4)})
         r3 = r3_from_r4(r4)
         assert sorted(r3.colors) == [1, 2, 2, 2, 3]
         assert len(r3.edges) == 4
 
     def test_rejects_no_ccg(self):
         with pytest.raises(PipelineError):
-            r3_from_r4(R4Graph(ccg_colors=(), intersection_colors={}))
+            r3_from_r4(r4_graph((), {}))
 
     def test_rejects_intersection_not_dividing_both_colors(self):
         with pytest.raises(PipelineError, match="dividing both colors"):
-            r3_from_r4(R4Graph((2, 3), {(0, 1): 2}))
+            r3_from_r4(r4_graph((2, 3), {(0, 1): 2}))
 
     def test_rejects_missing_pair(self):
         with pytest.raises(PipelineError, match="dividing both colors"):
-            r3_from_r4(R4Graph((2, 2), {}))
+            r3_from_r4(r4_graph((2, 2), {}))
 
     @pytest.mark.parametrize(
-        "r4", [R4Graph((2, 0), {(0, 1): 1}), R4Graph((0,), {})]
+        "r4", [r4_graph((2, 0), {(0, 1): 1}), r4_graph((0,), {})]
     )
     def test_rejects_color_below_one(self, r4):
         with pytest.raises(PipelineError, match="below 1"):
@@ -290,9 +324,9 @@ class TestAlgorithmSteps:
         # the premise of r3_from_r4_steps: each prefix's graph, or refusal,
         # is where the next prefix's gluing starts from
         def glue(k):
-            pairs = {p: c for p, c in r4.intersection_colors.items() if p[1] < k}
+            pairs = {p: c for p, c in pair_colors(r4).items() if p[1] < k}
             try:
-                return r3_from_r4(R4Graph(r4.ccg_colors[:k], pairs))
+                return r3_from_r4(r4_graph(r4.ccg_colors[:k], pairs))
             except PipelineError as e:
                 return str(e)
 
@@ -310,10 +344,7 @@ class TestAlgorithmSteps:
     def test_conflicting_r4_is_rejected(self):
         # intersection colors violating the divisibility structure force
         # two old vertices onto one new divisor-diagram vertex
-        bad = R4Graph(
-            ccg_colors=(4, 4, 4),
-            intersection_colors={(0, 1): 1, (0, 2): 2, (1, 2): 2},
-        )
+        bad = r4_graph((4, 4, 4), {(0, 1): 1, (0, 2): 2, (1, 2): 2})
         with pytest.raises(PipelineError, match="conflicting identification"):
             r3_from_r4(bad)
 

@@ -18,7 +18,7 @@ from pgk.group_core import (
 )
 from pgk.numtheory import divisors, euler_phi
 from pgk.powergraph_build import directed_power_graph
-from pgk.reconstruction import R4Graph, r3_from_r4
+from pgk.reconstruction import r3_from_r4
 from pgk.reductions import reduce_r1, reduce_r2, reduce_r3
 
 from helpers import (
@@ -30,6 +30,9 @@ from helpers import (
     hasse_divisor_graph,
     intersection_color,
     neighbors,
+    pair_colors,
+    r4_bipartite,
+    r4_graph,
     reachability,
     reduce_r4,
     verify_r2_structure,
@@ -189,8 +192,8 @@ class TestReduceR4:
         G = direct_product(cyclic_group(2), cyclic_group(2))
         r4 = reduce_r4(r3_of(G))
         assert r4.ccg_colors == (2, 2, 2)
-        assert all(c == 1 for c in r4.intersection_colors.values())
-        bip = r4.to_colored_graph()
+        assert all(c == 1 for c in pair_colors(r4).values())
+        bip = r4_bipartite(r4)
         assert bip.n == 6
         assert len(bip.edges) == 6
 
@@ -198,12 +201,12 @@ class TestReduceR4:
         r4 = reduce_r4(r3_of(cyclic_group(12)))
         assert r4.m == 1
         assert r4.ccg_colors == (12,)
-        assert r4.intersection_colors == {}
+        assert pair_colors(r4) == {}
 
     def test_q8(self):
         r4 = reduce_r4(r3_of(quaternion_group()))
         assert r4.ccg_colors == (4, 4, 4)
-        assert sorted(r4.intersection_colors.values()) == [2, 2, 2]
+        assert sorted(pair_colors(r4).values()) == [2, 2, 2]
 
     def test_ccg_vertices_are_color_maximal(self):
         r3 = r3_of(quaternion_group())
@@ -229,7 +232,7 @@ class TestHasseDivisorGraph:
 
     @staticmethod
     def lattice(n):
-        return r3_from_r4(R4Graph((n,), {}))
+        return r3_from_r4(r4_graph((n,), {}))
 
     def test_one(self):
         H = self.lattice(1)
