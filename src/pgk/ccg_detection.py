@@ -59,15 +59,13 @@ class TwinProfile:
     dominating_class_size: int
 
 
-def _masked_profile(colors, masks, S: int) -> TwinProfile:
+def _masked_profile(masks, S: int) -> TwinProfile:
     """Twin profile of the subgraph induced on the vertex set S (a
     bitmask), read off the masks: u's closed neighborhood there is
-    masks[u] & S.  Classes are met in ascending order of their smallest
-    member; the dominating class is the first whose members see all of
+    masks[u] & S, and the dominating class is the one that sees all of
     S."""
-    classes = Counter((colors[u], masks[u] & S) for u in bits(S))
-    dominating = next((k for (_, nb), k in classes.items() if nb == S), 0)
-    return TwinProfile(tuple(sorted(classes.values())), dominating)
+    classes = Counter(masks[u] & S for u in bits(S))
+    return TwinProfile(tuple(sorted(classes.values())), classes[S])
 
 
 @lru_cache(maxsize=None)
@@ -90,8 +88,8 @@ def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
     IDENTITY and the remaining vertices are processed in decreasing
     degree order (ties by ascending index), one rule firing per phase.
     Candidate v is decided on S = N[v]: u in S is universal in Gamma[S]
-    iff masks[u] & S == S, and v's twins there are the universal
-    vertices of its color.
+    iff masks[u] & S == S, and v's twins there are its universal
+    vertices.  Only adjacency is read: vertex colors play no part.
     """
     n = Gamma.n
     if n == 0:
@@ -106,7 +104,7 @@ def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
         raise PipelineError("no universal vertex: input is not a power graph")
     identity = universal[0]
 
-    colors, masks = Gamma.colors, Gamma.masks
+    masks = Gamma.masks
     labels = [UNLABELED] * n
     labels[identity] = IDENTITY
     order = sorted(
@@ -125,12 +123,9 @@ def mark_ccg_power(Gamma: ColoredGraph) -> CcgMarking:
             _mark_cc(Gamma, labels, v, identity)  # Rule 1a
         elif pp:
             labels[v] = NC  # Rule 1b
-        elif any(
-            colors[w] == colors[v] and w != identity and labels[w] == NC
-            for w in local_universal
-        ):
+        elif any(w != identity and labels[w] == NC for w in local_universal):
             labels[v] = NC  # Rule 2a
-        elif _masked_profile(colors, masks, S) == _cyclic_power_graph_profile(d):
+        elif _masked_profile(masks, S) == _cyclic_power_graph_profile(d):
             _mark_cc(Gamma, labels, v, identity)  # Rule 2b, matching case
         else:
             labels[v] = NC  # Rule 2b, non-matching case

@@ -169,9 +169,6 @@ class TwinPartition:
 
     classes: tuple[tuple[int, ...], ...]
 
-    def sizes(self) -> list[int]:
-        return sorted(len(c) for c in self.classes)
-
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 

@@ -5,12 +5,13 @@ The pipeline is: mark a CCG-set, summarize into R4, rebuild R3 by gluing
 the divisor lattice of each CCG color, orient back to R2, close up to
 R1, and expand twin classes into the full colored directed power graph;
 `check_dpow` then rejects a result whose vertex count differs from the
-input's, or, in one degree comparison, whose shadow (from a power graph)
-or enhanced power graph (from an enhanced power graph) has another
-degree multiset than the input.  Every stage from R3 on reads and writes
-bitmask adjacency.  The output is an isomorphic copy, not a relabeling
-of the input vertices: closed twins are interchangeable and the
-reconstruction does not try to tell them apart.  R4 is a record of the
+input's, whose element orders break Frobenius's count, or, in one degree
+comparison, whose shadow (from a power graph) or enhanced power graph
+(from an enhanced power graph) has another degree multiset than the
+input.  Every stage from R3 on reads and writes bitmask adjacency.  The
+output is an isomorphic copy, not a relabeling of the input vertices:
+closed twins are interchangeable and the reconstruction does not try to
+tell them apart.  R4 is a record of the
 CCG colors and, per g_j, the pairs (i, j) of intersection color other
 than 1, so R4 and R3 cost those pairs, not m(m-1)/2; only `format_r4`,
 which writes R4 as its bipartite graph file, visits every pair.  The
@@ -207,16 +208,23 @@ def cdpow_from_r1(X: ColoredDiGraph) -> ColoredDiGraph:
 
 def check_dpow(Gamma: ColoredGraph, D: ColoredDiGraph, kind: str) -> ColoredDiGraph:
     """Return D if it passes the necessary checks against the input
-    Gamma, else raise PipelineError: equal vertex counts, and the same
-    degree multiset in Gamma as in D's undirected shadow (kind "pow") or
-    D's enhanced power graph (kind "epow").  Any other kind is a
-    ValueError."""
+    Gamma, else raise PipelineError: equal vertex counts; for each d | n,
+    a multiple of d colors (element orders) dividing d, as in every group
+    of order n (Frobenius 1895); and Gamma's degree multiset in D's
+    undirected shadow (kind "pow") or enhanced power graph (kind "epow").
+    Passing does not prove that a group exists.  Other kinds: ValueError."""
     if kind not in ("pow", "epow"):
         raise ValueError(f"unknown kind {kind!r}")
     if D.n != Gamma.n:
         raise PipelineError(
             f"reconstruction has {D.n} vertices, the input has {Gamma.n}"
         )
+    orders = Counter(D.colors)
+    for d in divisors(D.n or 1):
+        if (k := sum(c for o, c in orders.items() if d % o == 0)) % d:
+            raise PipelineError(
+                f"reconstruction has {k} elements x with x^{d} = 1, not a multiple of {d}"
+            )
     build = pow_from_dpow if kind == "pow" else epow_from_dpow
     graph = "shadow" if kind == "pow" else "enhanced power graph"
     got, want = (Counter(m.bit_count() - 1 for m in X.masks) for X in (build(D), Gamma))
@@ -240,8 +248,7 @@ def _dpow_pipeline(Gamma: ColoredGraph, marking: CcgMarking, kind: str):
 def dpow_from_power_graph(Gamma: ColoredGraph) -> ColoredDiGraph:
     """Recover a colored directed power graph from an undirected power
     graph (isomorphic copy; twin classes are interchangeable).  Input
-    colors are ignored, as in the CLI: detection compares them."""
-    Gamma = ColoredGraph._from_masks(Gamma.n, (1,) * Gamma.n, Gamma.masks)
+    colors are ignored."""
     return _dpow_pipeline(Gamma, mark_ccg_power(Gamma), "pow")
 
 

@@ -307,6 +307,21 @@ class TestReconstruct:
         extra = ["--out", str(tmp_path / "o.graph")] if command == "reconstruct" else []
         assert run(command, str(src), "--kind", "epow", *extra) == 4
 
+    @pytest.mark.parametrize("kind", ["pow", "epow"])
+    @pytest.mark.parametrize("command", ["reconstruct", "detect", "verify"])
+    def test_three_vertex_path_exit_4(self, tmp_path, capsys, command, kind):
+        # rebuilt as two elements of order 2 beside the identity, but a
+        # group of order 3 has 3 elements x with x^3 = 1 (Frobenius's count)
+        src = tmp_path / "p3.graph"
+        src.write_text("graph 3\nnocolors\n0 1\n0 2\n")
+        out = tmp_path / "o.graph"
+        extra = ["--out", str(out)] if command == "reconstruct" else []
+        assert run(command, str(src), "--kind", kind, *extra) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1 elements x with x^3 = 1, not a multiple of 3" in captured.err
+
 
 def outcomes(tmp_path, path):
     """Exit code, stdout and written bytes of every command that reads

@@ -511,11 +511,17 @@ class TestCheckDpow:
             for u in range(n)
         ]
         degrees = Counter(Gamma.degree(u) for u in range(n))
+        # Frobenius's count: for each d | n, the elements x with x^d = 1,
+        # those whose color (order) divides d, are a multiple of d
+        frobenius = all(
+            sum(d % c == 0 for c in D.colors) % d == 0 for d in range(1, n + 1) if n % d == 0
+        )
         passes = {
             "pow": D.n == Gamma.n
+            and frobenius
             and sum(shadow) // 2 == len(Gamma.edges)
             and Counter(shadow) == degrees,
-            "epow": D.n == Gamma.n and Counter(epow) == degrees,
+            "epow": D.n == Gamma.n and frobenius and Counter(epow) == degrees,
         }
         for kind, ok in passes.items():
             try:
@@ -551,6 +557,45 @@ class TestCheckDpow:
         except PipelineError:
             return
         assert color_iso(epow_from_dpow(D), Gamma)
+
+
+class TestEverySmallGraph:
+    """Every labelled graph on 1..6 vertices: reconstruction accepts
+    exactly the power graphs (enhanced power graphs) of groups, which up
+    to order 6 are those of Z1..Z6, Z2xZ2 and D3, and then returns the
+    group's CDPow up to isomorphism."""
+
+    GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "D3")
+
+    @pytest.mark.parametrize(
+        "build, recover, genuine",
+        [
+            (power_graph, dpow_from_power_graph, 129),
+            (enhanced_power_graph, dpow_from_enhanced_graph, 70),
+        ],
+        ids=["pow", "epow"],
+    )
+    def test_accepted_iff_some_group_has_it(self, build, recover, genuine):
+        groups = [parse_group_spec(spec) for spec in self.GROUPS]
+        truths = [(build(G), directed_power_graph(G)) for G in groups]
+        accepted, wrong = 0, []
+        for n in range(1, 7):
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            for chosen in range(1 << len(pairs)):
+                edges = frozenset(p for i, p in enumerate(pairs) if chosen >> i & 1)
+                Gamma = ColoredGraph(n, (1,) * n, edges)
+                dpows = [D for X, D in truths if color_iso(Gamma, X)]
+                try:
+                    D = recover(Gamma)
+                except PipelineError:
+                    if dpows:
+                        wrong.append(("refused", n, sorted(edges)))
+                    continue
+                accepted += 1
+                if not any(color_iso(D, T) for T in dpows):
+                    wrong.append(("accepted", n, sorted(edges)))
+        assert wrong == []
+        assert accepted == genuine
 
 
 class TestGraphConversions:
