@@ -173,9 +173,11 @@ class TwinPartition:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def bits(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative mask, ascending."""
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
+def bits(mask: int, items=None) -> list:
+    """Positions of the set bits of a non-negative mask, ascending, or the
+    items at those positions when a sequence of items is given."""
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+    return list(compress(count() if items is None else items, flags))
 
 
 def scatter(pairs, n: int) -> list[int]:
@@ -368,26 +370,32 @@ def brute_force_color_iso(X, Y, cap: int = ISO_CAP_DEFAULT):
 
 
 def format_graph(X, with_colors: bool = True) -> str:
+    """X's text, each row's names picked out of its bit string; a digraph's
+    equal out-rows (in a DPow, one cyclic subgroup's generators) are picked once."""
     directed = isinstance(X, ColoredDiGraph)
-    rows = (bits(m if directed else m & -(2 << u)) for u, m in enumerate(_masks(X)))
+    names = [str(v) for v in range(X.n)]
+    if directed:
+        picked = {m: bits(m, names) for m in set(X.out_masks)}
+        rows = map(picked.__getitem__, X.out_masks)
+    else:
+        rows = (bits(m & -(2 << u), names) for u, m in enumerate(X.masks))
     return format_rows(X.colors, rows, directed, with_colors)
 
 
 def format_rows(colors, rows, directed: bool = False, with_colors: bool = True) -> str:
     """The text of a graph on len(colors) vertices whose u-th row lists
-    u's out-neighbors (undirected: its neighbors above it) ascending; a
-    vertex with no row has none."""
+    the names (str(v)) of u's out-neighbors (undirected: its neighbors
+    above it) ascending; a vertex with no row has none."""
     lines = [f"{'digraph' if directed else 'graph'} {len(colors)}"]
     if with_colors:
         lines.append("colors " + " ".join(str(c) for c in colors))
     else:
         lines.append("nocolors")
-    names = [str(v) for v in range(len(colors))]
     # one string per vertex with a neighbor in its row
     for u, row in enumerate(rows):
         if row:
-            head = names[u] + " "
-            lines.append(head + ("\n" + head).join(map(names.__getitem__, row)))
+            head = f"{u} "
+            lines.append(head + ("\n" + head).join(row))
     lines.append("")
     return "\n".join(lines)
 

@@ -7,7 +7,9 @@ once; the Sylow vertex lists serve the shape check and the subgraphs.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
+from operator import or_
 
 from .errors import PipelineError
 from .graph_core import ColoredDiGraph, ColoredGraph, bits, induced_subgraph, reach
@@ -123,8 +125,8 @@ def _check_transitive(out, name: str) -> None:
     """Raise unless each distinct out-mask holds its members', as in any
     DPow; a "non-isomorphic" needs no check (every step is an invariant)."""
     for m in dict.fromkeys(out):
-        for w in bits(m):
-            if u := out[w] & ~m:
-                v, u = out.index(m), bits(u)[0]
-                arcs = f"arcs ({v}, {w}) and ({w}, {u}) but no arc ({v}, {u})"
-                raise PipelineError(f"{name} is not a directed power graph: {arcs}")
+        if reduce(or_, bits(m, out), 0) & ~m:  # some member's row leaves m: name one
+            w = next(w for w in bits(m) if out[w] & ~m)
+            v, u = out.index(m), bits(out[w] & ~m)[0]
+            arcs = f"arcs ({v}, {w}) and ({w}, {u}) but no arc ({v}, {u})"
+            raise PipelineError(f"{name} is not a directed power graph: {arcs}")

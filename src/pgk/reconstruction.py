@@ -69,10 +69,11 @@ def format_r4(X: R4Graph) -> str:
     g_i's neighbors are the pairs (s, i), s < i, then (i, i + 1) ..
     (i, m - 1); a B-side vertex has none above it."""
     m = X.m
-    first = [m + i * m - i * (i + 1) // 2 for i in range(m)]
+    first = [m + i * m - i * (i + 1) // 2 for i in range(m + 1)]
+    names = [str(v) for v in range(first[m])]
     pair_colors = [X.below[j].get(i, 1) for i in range(m) for j in range(i + 1, m)]
     rows = (
-        [first[s] + i - s - 1 for s in range(i)] + list(range(first[i], first[i] + m - 1 - i))
+        [names[first[s] + i - s - 1] for s in range(i)] + names[first[i] : first[i + 1]]
         for i in range(m)
     )
     return format_rows(X.ccg_colors + tuple(pair_colors), rows)

@@ -323,6 +323,41 @@ class TestReconstruct:
         assert "1 elements x with x^3 = 1, not a multiple of 3" in captured.err
 
 
+class TestFormatCalls:
+    """Every graph file is written by one call to pgk.cli.format_graph (the
+    traced bench's format span wraps that attribute); R4 by format_r4."""
+
+    @staticmethod
+    def counted(monkeypatch) -> Counter:
+        calls = Counter()
+        for name in ("format_graph", "format_r4"):
+            def counting(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["pow", "epow", "dpow", "cdpow"])
+    def test_generate_formats_once(self, tmp_path, monkeypatch, kind):
+        calls = self.counted(monkeypatch)
+        out = tmp_path / "q8z3.graph"
+        assert run("generate", "Q8xZ3", "--kind", kind, "--out", str(out)) == 0
+        assert calls == Counter(format_graph=1)
+
+    @pytest.mark.parametrize("stage", ["r4", "r3", "r2", "r1", "cdpow", "dpow"])
+    @pytest.mark.parametrize("kind", ["pow", "epow"])
+    def test_reconstruct_formats_once(self, tmp_path, monkeypatch, kind, stage):
+        src, out = tmp_path / "in.graph", tmp_path / "out.graph"
+        build = power_graph if kind == "pow" else enhanced_power_graph
+        save_graph(build(quaternion_group()), src, with_colors=False)
+        calls = self.counted(monkeypatch)
+        argv = ["reconstruct", str(src), "--kind", kind, "--out", str(out)]
+        assert run(*argv, "--emit-stage", stage) == 0
+        expected = "format_r4" if stage == "r4" else "format_graph"
+        assert calls == Counter({expected: 1})
+
+
 def outcomes(tmp_path, path):
     """Exit code, stdout and written bytes of every command that reads
     path as a power graph."""

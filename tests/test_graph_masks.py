@@ -32,7 +32,9 @@ from pgk.reconstruction import cdpow_from_r1
 from pgk.reductions import reduce_r1
 
 from helpers import (
+    family_groups,
     make_rng,
+    random_relabel,
     reference_bits,
     reference_cdpow_from_r1,
     reference_directed_power_graph,
@@ -259,6 +261,68 @@ def test_twin_rows_reduced_once(monkeypatch):
     assert len(calls) == len(set(X.out_masks)) == 20
 
 
+def assert_written_as_by_reference(X, name="") -> None:
+    for with_colors in (True, False):
+        assert format_graph(X, with_colors) == reference_format_graph(X, with_colors), name
+
+
+def test_twin_rows_written_as_by_reference(catalog):
+    # relabelled DPows and CDPows: a cyclic subgroup's generators, whose
+    # out-rows are equal, sit at scattered ids
+    rng = make_rng(23)
+    for name, G in catalog + family_groups():
+        D = directed_power_graph(G)
+        for X in (D, cdpow_from_r1(reduce_r1(D).graph)):
+            assert_written_as_by_reference(random_relabel(X, rng), name)
+
+
+@pytest.mark.parametrize(
+    "out_masks",
+    [
+        (0, 0, 0),
+        (0b110, 0, 0b110, 0, 0b110),
+        (0, 0b1, 0, 0b1),
+        (0b11, 0b11, 0b11),
+        (0b1000, 0, 0b1000, 0b1111),
+    ],
+)
+def test_repeated_and_empty_rows_written_as_by_reference(out_masks):
+    n = len(out_masks)
+    D = ColoredDiGraph._from_masks(n, tuple(range(1, n + 1)), out_masks)
+    assert_written_as_by_reference(D)
+
+
+@st.composite
+def digraphs_of_few_rows(draw):
+    """Digraphs whose out-rows are drawn from at most three masks and the
+    empty one, so rows repeat and empty rows fall among them."""
+    n = draw(st.integers(1, 12))
+    shared = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    masks = draw(st.lists(st.sampled_from([0, *shared]), min_size=n, max_size=n))
+    return ColoredDiGraph._from_masks(n, (1,) * n, masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_of_few_rows())
+def test_digraphs_of_few_rows_written_as_by_reference(D):
+    assert_written_as_by_reference(D)
+
+
+def test_twin_rows_selected_once(monkeypatch):
+    X = directed_power_graph(cyclic_group(240))
+    expected = reference_format_graph(X)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return bits(*args)
+
+    monkeypatch.setattr(graph_core, "bits", counting)
+    assert format_graph(X) == expected
+    # one selection per cyclic subgroup: Z240 has one per divisor of 240
+    assert len(calls) == len(set(X.out_masks)) == 20
+
+
 def lines_read_one_at_a_time(monkeypatch) -> list[str]:
     """The lines parse_graph passes to its per-line reader from now on."""
     read = []
@@ -335,6 +399,19 @@ def test_reach_is_the_connected_component(X):
             component |= fresh
             todo += fresh
         assert set(bits(reach(X.masks, v))) == component
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**70), st.integers(0, 5), st.data())
+def test_bits_picks_the_items_at_the_set_bits(mask, extra, data):
+    # items as long as the mask's highest bit or longer; mask 0 picks none
+    items = data.draw(st.lists(st.integers() | st.text(max_size=2),
+                               min_size=mask.bit_length() + extra,
+                               max_size=mask.bit_length() + extra))
+    assert bits(mask, items) == [items[i] for i in reference_bits(mask)]
+    assert bits(mask, tuple(items)) == bits(mask, items)
+    assert bits(mask) == reference_bits(mask)
+    assert bits(0, items) == []
 
 
 @settings(max_examples=300, deadline=None)

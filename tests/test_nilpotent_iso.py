@@ -3,8 +3,15 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pgk import nilpotent_iso
 from pgk.errors import PipelineError
-from pgk.graph_core import ColoredDiGraph, ColoredGraph, brute_force_color_iso, relabel
+from pgk.graph_core import (
+    ColoredDiGraph,
+    ColoredGraph,
+    brute_force_color_iso,
+    reach,
+    relabel,
+)
 from pgk.group_core import (
     cyclic_group,
     direct_product,
@@ -29,6 +36,7 @@ from helpers import (
     metacyclic_group,
     p_component,
     random_relabel,
+    reference_bits,
     reference_dpow_iso_nilpotent,
     small_digraphs,
 )
@@ -303,6 +311,35 @@ class TestGraphIsoNilpotent:
                 f"input {i} is not a directed power graph: "
                 "arcs (3, 17) and (17, 1) but no arc (3, 1)"
             )
+
+    @staticmethod
+    def reference_intransitive_triple(out):
+        """(v, w, u) with arcs (v, w), (w, u) and no (v, u): v first with
+        its out-row, then w, then u least."""
+        rows = [set(reference_bits(m)) for m in out]
+        for v, row in enumerate(rows):
+            for w in sorted(row) if row not in rows[:v] else ():
+                if extra := rows[w] - row:
+                    return v, w, min(extra)
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_digraphs(8), st.booleans())
+    def test_transitivity_check_names_the_first_intransitive_triple(self, D, close):
+        out = D.out_masks
+        if close:  # the reflexive transitive closure: a preorder
+            out = tuple(reach(out, v) for v in range(D.n))
+        triple = self.reference_intransitive_triple(out)
+        if triple is None:
+            nilpotent_iso._check_transitive(out, "input 1")
+            return
+        v, w, u = triple
+        with pytest.raises(PipelineError) as exc:
+            nilpotent_iso._check_transitive(out, "input 1")
+        assert str(exc.value) == (
+            "input 1 is not a directed power graph: "
+            f"arcs ({v}, {w}) and ({w}, {u}) but no arc ({v}, {u})"
+        )
 
     def test_dpow_kind_non_isomorphic_needs_no_preorder(self):
         # Z6 less its arc 5 -> 0 is not transitive, and still only
