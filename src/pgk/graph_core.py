@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from operator import or_
 
 from .errors import GraphFormatError, SizeCapError
@@ -49,7 +49,7 @@ ISO_CAP_DEFAULT = 30
 def _check_colors(n, colors) -> None:
     if len(colors) != n:
         raise ValueError("colors length must equal vertex count")
-    if any(c < 1 for c in colors):
+    if min(colors, default=1) < 1:
         raise ValueError("colors must be positive integers")
 
 
@@ -195,7 +195,7 @@ def transpose(masks) -> list[int]:
     n = len(masks)
     # rows last to first, each digit string most significant bit first:
     # column v is then every n-th digit from n - 1 - v, high bit first
-    flat = "".join(format(m, f"0{n}b") for m in reversed(masks))
+    flat = "".join(map(format, reversed(masks), repeat(f"0{n}b", n)))
     return [int(flat[n - 1 - v :: n], 2) for v in range(n)]
 
 
@@ -401,23 +401,28 @@ def format_rows(colors, rows, directed: bool = False, with_colors: bool = True) 
 
 
 # one piece of graph-file text: a run of "u v" lines with one head u, as
-# written (group 2 is the run less its first head), or else one line
-# with its "\n"
-_PIECE = re.compile(r"([0-9]+) ([0-9]+\n(?:\1 [0-9]+\n)*)|[^\n]*\n?")
+# written, or else one line with its "\n"
+_PIECE = re.compile(r"([0-9]+) [0-9]+\n(?:\1 [0-9]+\n)*|[^\n]*\n?")
 
 
 def parse_graph(text: str):
-    """Read format_graph's text into masks in one pass of _PIECE matches:
-    a run by one dict lookup per id, any other piece, or a run with an id
-    not spelled as str(v), by _read_lines.  Pieces end at "\n", so they
-    split into the lines str.splitlines gives for the whole text.  Both
-    kinds' lines are read as arcs; an undirected graph's are then
-    symmetrised once.  A per-parse dict of tails texts reduces each
-    distinct row to a mask once.  A vertex count above MAX_GROUP_ORDER is
-    refused before any is built."""
-    pieces = _PIECE.finditer(text)
-    top, lines = [], iter(())  # lines: the unread lines of the piece in hand
-    while len(top) < 2 and (piece := next(pieces, None)) is not None:
+    """Read format_graph's text into masks, one run of lines with one head
+    at a time.  A run of head u = str(v) is guessed to end where v + 1's
+    first line begins, within n lines of the longest spelling, or with
+    the text; a looked-up head (not carried on from v - 1's run) whose
+    next line has another head is one line.  A guess is taken only if,
+    with each "\n" + u + " " removed, every line is one id spelled as
+    str(w) and one head went per line; else the line begins a _PIECE
+    match, a run checked the same way or one line for _read_lines.
+    Pieces end at "\n", so they split into the lines str.splitlines gives
+    for the whole text.  Both kinds' lines are read as arcs; an undirected
+    graph's are then symmetrised once.  A per-parse dict of tails texts
+    reduces each distinct row to a mask once.  A vertex count above
+    MAX_GROUP_ORDER is refused before any is built."""
+    pos, top, lines = 0, [], iter(())  # lines: the unread lines of the piece in hand
+    while len(top) < 2 and pos < len(text):
+        piece = _PIECE.match(text, pos)
+        pos = piece.end()
         lines = iter(piece[0].splitlines(keepends=True))
         top += islice(filter(str.strip, lines), 2 - len(top))
     if not top:
@@ -441,7 +446,7 @@ def parse_graph(text: str):
     ctok = colors_line.split()
     if ctok[0] == "colors":
         try:
-            colors = tuple(int(c) for c in ctok[1:])
+            colors = tuple(map(int, ctok[1:]))
         except ValueError:
             raise GraphFormatError("colors must be integers") from None
     elif ctok[0] == "nocolors" and len(ctok) == 1:
@@ -452,22 +457,50 @@ def parse_graph(text: str):
         _check_colors(n, colors)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
-    index = {str(v): v for v in range(n)}
-    bit = {s: 1 << v for s, v in index.items()}
+    bit = {str(v): 1 << v for v in range(n)}
+    heads = [f"\n{s} " for s in bit] + [f"\n{n} "]  # heads[n]: searched for after n - 1
     masks = [0] * n
-    seen: dict[str, int] = {}
-    _read_lines(lines, index, masks, directed)
-    for piece in pieces:
-        if (u := piece[1]) is not None:  # a run: each distinct row is reduced once
-            tails = piece[2].replace("\n" + u + " ", "\n")
-            try:
-                if (m := seen.get(tails)) is None:
-                    m = seen[tails] = reduce(or_, map(bit.__getitem__, tails.split()))
-                masks[index[u]] |= m
+    seen: dict[str, tuple[int, int]] = {}  # tails: (mask, line count)
+    _read_lines(lines, masks, directed)
+    find, startswith = text.find, text.startswith
+    width, size, v, piece = len(str(n)), len(text), None, None
+    longest = (n + 1) * (2 * width + 2)  # a run of n lines "u v\n", and then some
+    while pos < size:
+        if v is not None:  # carried on: guess that v's run ends where v + 1's begins
+            end = find(heads[v + 1], pos, pos + longest)
+        elif piece:  # a guess declined here: the piece, a run of head v < n or not
+            v = (bit.get(piece[1]) or 1 << n).bit_length() - 1
+            end = piece.end() - 1 if v < n else -2
+        elif (space := find(" ", pos, pos + width + 1)) >= 0 and (
+            b := bit.get(text[pos:space])
+        ):  # looked up: one line, unless the next line has head v too
+            v = b.bit_length() - 1
+            if startswith(heads[v], end := find("\n", space)):
+                end = find(heads[v + 1], pos, pos + longest)
+        else:
+            end = -2
+        if end == -1 and size - pos <= longest and text[-1] == "\n":
+            end = size - 1  # v + 1 has no row: the rest of the text
+        if end >= 0:  # take the run if each line is one id after one head "str(v) "
+            k = len(heads[v]) - 1
+            tails = text[pos + k : end].replace(heads[v], "\n")
+            if (row := seen.get(tails)) is None:
+                ids = tails.split("\n")
+                try:
+                    row = seen[tails] = reduce(or_, map(bit.__getitem__, ids)), len(ids)
+                except KeyError:  # an id not spelled as str(w)
+                    row = 0, 0
+            if end - pos - len(tails) == row[1] * k:  # one head removed per line
+                masks[v] |= row[0]
+                pos, piece = end + 1, None
+                v = v + 1 if v + 1 < n and startswith(heads[v + 1], end) else None
                 continue
-            except KeyError:  # an id not spelled as str(v)
-                pass
-        _read_lines(piece[0].splitlines(), index, masks, directed)
+        if piece:
+            _read_lines(piece[0].splitlines(), masks, directed)
+            pos, piece = piece.end(), None
+        else:
+            piece = _PIECE.match(text, pos)
+        v = None
     if directed:
         return ColoredDiGraph._from_masks(n, colors, masks)
     for v, m in enumerate(masks):  # the lines were read as arcs: no loops
@@ -477,7 +510,7 @@ def parse_graph(text: str):
     return ColoredGraph._from_masks(n, colors, [m | t | 1 << v for v, (m, t) in pairs])
 
 
-def _read_lines(lines, index, masks, directed) -> None:
+def _read_lines(lines, masks, directed) -> None:
     """OR arc lines into masks one at a time, in any accepted spelling."""
     n = len(masks)
     for ln in lines:
@@ -488,15 +521,12 @@ def _read_lines(lines, index, masks, directed) -> None:
                 raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
             continue  # blank line
         try:
-            u, v = index[a], index[b]
-        except KeyError:  # not written as format_graph writes it
-            try:
-                u, v = int(a), int(b)
-            except ValueError:
-                raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                kind = "arc" if directed else "edge"
-                raise GraphFormatError(f"bad {kind} ({u}, {v}) for n={n}") from None
+            u, v = int(a), int(b)
+        except ValueError:
+            raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            kind = "arc" if directed else "edge"
+            raise GraphFormatError(f"bad {kind} ({u}, {v}) for n={n}")
         masks[u] |= 1 << v
 
 

@@ -22,7 +22,12 @@ from pgk.graph_core import (
     scatter,
     transpose,
 )
-from pgk.group_core import cyclic_group, direct_product, quaternion_group
+from pgk.group_core import (
+    cyclic_group,
+    direct_product,
+    elementary_abelian_group,
+    quaternion_group,
+)
 from pgk.powergraph_build import (
     directed_power_graph,
     enhanced_power_graph,
@@ -244,6 +249,129 @@ def test_runs_reader_declines_a_row_read_before_under_a_bad_head():
         parse_graph(head + "0 1\n0 2\n3 1\n3 2\n")
     for edges in ("1 1\n1 2\n01 1\n01 2\n", "0 1\n0 2\n1 1\n1 2\n\n01 1\n01 2\n"):
         assert parse_graph(head + edges) == reference_parse_graph(head + edges)
+
+
+def rows_by_head(text: str):
+    """format_graph's text as (header lines, {head: that head's lines})."""
+    header, colors, *arcs = text.splitlines()
+    rows: dict[str, list[str]] = {}
+    for ln in arcs:
+        rows.setdefault(ln.split()[0], []).append(ln)
+    return [header, colors], rows
+
+
+def assert_read_as_by_reference(text: str) -> None:
+    assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+
+WIDE = "digraph 13\nnocolors\n"  # ids 10, 11 and 12 extend the heads 1 and 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # a one-token line that extends the head, alone or inside a guessed run
+        "1 5\n12\n",
+        "1 5\n1 6\n12\n2 3\n",
+        "0 1\n1 5\n12\n2 3\n",
+        "0 1\n0 2\n10\n1 2\n",
+        # "u " with an empty tail
+        "0 \n",
+        "0 1\n0 \n1 2\n",
+        "0 1\n0 2\n0 \n",
+        "0 \n0 1\n1 2\n",
+        # a guessed run holding a line of another head, well formed or not
+        "0 1\n0 2\n3 1\n0 3\n1 2\n",
+        "0 1\n0 2\n2\n1 2\n",
+        "0 1\n0 2\n3 1 2\n1 2\n",
+        "0 1\n0 11\n01 2\n1 2\n",
+        # v + 1 with no row: v's run is the rest of the text, or it is not
+        "0 1\n0 2\n2 1\n",
+        "0 1\n0 2\n2 1\n2 3\n",
+        "11 1\n11 2\n",
+        "12 1\n12 2\n13 1\n",
+        "12 1\n12 2\n12 13\n",
+        # a last run with no final "\n"
+        "0 1\n0 2",
+        "0 1\n0 2\n1 0\n1 2",
+        "0 1\n1 0\n1",
+        "0 1\n1 0\n1 ",
+    ],
+)
+def test_guessed_runs_read_as_by_reference(body):
+    for header in (WIDE, "graph 13\nnocolors\n"):
+        assert_read_as_by_reference(header + body)
+
+
+@pytest.mark.parametrize("char", ["\r", "\x0b", "\x85", "\r\n"])
+def test_line_boundaries_inside_a_run_read_as_by_reference(char):
+    X = directed_power_graph(cyclic_group(12))
+    text = format_graph(X)
+    body_start = text.index("\n", text.index("\n") + 1) + 1
+    rng = make_rng(5)
+    for i in sorted(rng.sample(range(body_start, len(text)), 40)):
+        # inside an id, after a head, before or instead of a "\n"
+        for respelled in (text[:i] + char + text[i:], text[:i] + char + text[i + 1 :]):
+            assert_read_as_by_reference(respelled)
+
+
+@pytest.mark.parametrize("kind", [power_graph, directed_power_graph])
+def test_rows_in_interleaved_order_read_as_by_reference(kind):
+    # heads 0, 2, 4, ..., then 1, 3, 5, ...: no run is followed by v + 1's
+    X = kind(direct_product(quaternion_group(), cyclic_group(3)))
+    top, rows = rows_by_head(format_graph(X))
+    order = sorted(rows, key=lambda head: (int(head) % 2, int(head)))
+    text = "\n".join(top + [ln for head in order for ln in rows[head]]) + "\n"
+    assert parse_graph(text) == X
+
+
+@st.composite
+def texts_without_some_rows(draw):
+    """format_graph's text of a graph, a digraph or a relabelled DPow, with
+    the rows of some heads dropped, and now and then no final "\n"."""
+    X = draw(small_graphs(12) | small_digraphs(12) | relabelled_dpows())
+    top, rows = rows_by_head(format_graph(X, draw(st.booleans())))
+    kept = [head for head in rows if draw(st.booleans())]
+    text = "\n".join(top + [ln for head in kept for ln in rows[head]]) + "\n"
+    return text[:-1] if draw(st.integers(0, 4)) == 0 else text
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts_without_some_rows())
+def test_texts_without_some_rows_read_as_by_reference(text):
+    assert_read_as_by_reference(text)
+
+
+class CountingPiece:
+    """_PIECE with a count of its match calls."""
+
+    def __init__(self):
+        self.pattern, self.calls = graph_core._PIECE, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        power_graph(cyclic_group(240)),
+        directed_power_graph(cyclic_group(240)),
+        random_relabel(
+            directed_power_graph(direct_product(quaternion_group(), cyclic_group(15))),
+            make_rng(3),
+        ),
+        enhanced_power_graph(elementary_abelian_group(2, 6)),
+    ],
+    ids=["pow-Z240", "dpow-Z240", "dpow-Q8xZ15-relabelled", "epow-ElemAb(2,6)"],
+)
+def test_written_runs_read_without_the_piece_pattern(monkeypatch, X):
+    text = format_graph(X)
+    counting = CountingPiece()
+    monkeypatch.setattr(graph_core, "_PIECE", counting)
+    assert parse_graph(text) == X
+    assert counting.calls == 2  # the header and colors lines only
 
 
 def test_twin_rows_reduced_once(monkeypatch):
