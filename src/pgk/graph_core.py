@@ -408,17 +408,18 @@ _PIECE = re.compile(r"([0-9]+) [0-9]+\n(?:\1 [0-9]+\n)*|[^\n]*\n?")
 def parse_graph(text: str):
     """Read format_graph's text into masks, one run of lines with one head
     at a time.  A run of head u = str(v) is guessed to end where v + 1's
-    first line begins, within n lines of the longest spelling, or with
-    the text; a looked-up head (not carried on from v - 1's run) whose
-    next line has another head is one line.  A guess is taken only if,
-    with each "\n" + u + " " removed, every line is one id spelled as
-    str(w) and one head went per line; else the line begins a _PIECE
-    match, a run checked the same way or one line for _read_lines.
-    Pieces end at "\n", so they split into the lines str.splitlines gives
-    for the whole text.  Both kinds' lines are read as arcs; an undirected
-    graph's are then symmetrised once.  A per-parse dict of tails texts
-    reduces each distinct row to a mask once.  A vertex count above
-    MAX_GROUP_ORDER is refused before any is built."""
+    first line begins, within n lines of the longest spelling, or else
+    with the text if its last line has head u; a looked-up head (not
+    carried on from v - 1's run) whose next line has another head is one
+    line.  A guess is taken only if, with each "\n" + u + " " removed,
+    every line is one id spelled as str(w) and one head went per line;
+    else the line begins a _PIECE match, a run checked the same way or
+    one line for _read_lines.  Pieces end at "\n", so they split into the
+    lines str.splitlines gives for the whole text.  Both kinds' lines are
+    read as arcs; an undirected graph's are then symmetrised once.  A
+    per-parse dict of tails texts reduces each distinct row to a mask
+    once.  A vertex count above MAX_GROUP_ORDER is refused before any is
+    built."""
     pos, top, lines = 0, [], iter(())  # lines: the unread lines of the piece in hand
     while len(top) < 2 and pos < len(text):
         piece = _PIECE.match(text, pos)
@@ -480,7 +481,9 @@ def parse_graph(text: str):
         else:
             end = -2
         if end == -1 and size - pos <= longest and text[-1] == "\n":
-            end = size - 1  # v + 1 has no row: the rest of the text
+            # v + 1 has no row: the rest of the text, if its last line has head v
+            if startswith(heads[v], text.rfind("\n", pos - 1, size - 1)):
+                end = size - 1
         if end >= 0:  # take the run if each line is one id after one head "str(v) "
             k = len(heads[v]) - 1
             tails = text[pos + k : end].replace(heads[v], "\n")

@@ -264,7 +264,7 @@ def assert_read_as_by_reference(text: str) -> None:
     assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
 
 
-WIDE = "digraph 13\nnocolors\n"  # ids 10, 11 and 12 extend the heads 1 and 0
+WIDE = "digraph 13\nnocolors\n"  # the ids 10, 11 and 12 begin with the head 1
 
 
 @pytest.mark.parametrize(
