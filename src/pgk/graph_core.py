@@ -13,7 +13,6 @@ everywhere.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -400,32 +399,27 @@ def format_rows(colors, rows, directed: bool = False, with_colors: bool = True) 
     return "\n".join(lines)
 
 
-# one piece of graph-file text: a run of "u v" lines with one head u, as
-# written, or else one line with its "\n"
-_PIECE = re.compile(r"([0-9]+) [0-9]+\n(?:\1 [0-9]+\n)*|[^\n]*\n?")
-
-
 def parse_graph(text: str):
     """Read format_graph's text into masks, one run of lines with one head
     at a time.  A run of head u = str(v) is guessed to end where v + 1's
     first line begins, within n lines of the longest spelling, or else
-    with the text if its last line has head u; a looked-up head (not
-    carried on from v - 1's run) whose next line has another head is one
-    line.  A guess is taken only if, with each "\n" + u + " " removed,
-    every line is one id spelled as str(w) and one head went per line;
-    else the line begins a _PIECE match, a run checked the same way or
-    one line for _read_lines.  Pieces end at "\n", so they split into the
-    lines str.splitlines gives for the whole text.  Both kinds' lines are
-    read as arcs; an undirected graph's are then symmetrised once.  A
-    per-parse dict of tails texts reduces each distinct row to a mask
-    once.  A vertex count above MAX_GROUP_ORDER is refused before any is
-    built."""
-    pos, top, lines = 0, [], iter(())  # lines: the unread lines of the piece in hand
+    after the last line with head u within that reach; a looked-up head
+    (not carried on from v - 1's run) whose next line has another head is
+    one line.  A guess is taken only if, with each "\n" + u + " " removed,
+    every line is one id spelled as str(w) and one head went per line.
+    Else u's consecutive lines are read once: one spelled "u str(w)" is
+    ORed in, any other goes to _read_lines, as do lines with no such head,
+    a run of equal first words at once.  Lines are cut at "\n", then by
+    str.splitlines: they are the lines it gives for the whole text.  Both
+    kinds' lines are read as arcs, an undirected graph's then symmetrised.
+    A per-parse dict of tails texts reduces each distinct row to a mask
+    once.  A vertex count above MAX_GROUP_ORDER is refused before any is built."""
+    pos, top, lines = 0, [], iter(())  # lines: the unread lines of the chunk in hand
     while len(top) < 2 and pos < len(text):
-        piece = _PIECE.match(text, pos)
-        pos = piece.end()
-        lines = iter(piece[0].splitlines(keepends=True))
+        end = text.find("\n", pos) + 1 or len(text)
+        lines = iter(text[pos:end].splitlines(keepends=True))
         top += islice(filter(str.strip, lines), 2 - len(top))
+        pos = end
     if not top:
         raise GraphFormatError("empty graph file")
     header = top[0]
@@ -463,29 +457,29 @@ def parse_graph(text: str):
     masks = [0] * n
     seen: dict[str, tuple[int, int]] = {}  # tails: (mask, line count)
     _read_lines(lines, masks, directed)
-    find, startswith = text.find, text.startswith
-    width, size, v, piece = len(str(n)), len(text), None, None
+    find, rfind, startswith = text.find, text.rfind, text.startswith
+    width, size, v = len(str(n)), len(text), None
     longest = (n + 1) * (2 * width + 2)  # a run of n lines "u v\n", and then some
     while pos < size:
-        if v is not None:  # carried on: guess that v's run ends where v + 1's begins
+        if v is None:  # look the head up
+            space = find(" ", pos, pos + width + 1)
+            if (b := bit.get(text[pos:space]) if space >= 0 else None) is None:
+                # no written head: the line, and the next ones with its first word
+                start, end = pos, find("\n", pos) + 1 or size
+                space = find(" ", pos, end)
+                word, pos = "\n" + text[pos : space + 1], end
+                while space >= 0 and startswith(word, pos - 1):
+                    pos = find("\n", pos) + 1 or size
+                _read_lines(text[start:pos].splitlines(), masks, directed)
+                continue
+            v, end = b.bit_length() - 1, find("\n", space)
+            guess = startswith(heads[v], end)  # else one line
+        if guess:  # carried on, or v's next line has v's head too
             end = find(heads[v + 1], pos, pos + longest)
-        elif piece:  # a guess declined here: the piece, a run of head v < n or not
-            v = (bit.get(piece[1]) or 1 << n).bit_length() - 1
-            end = piece.end() - 1 if v < n else -2
-        elif (space := find(" ", pos, pos + width + 1)) >= 0 and (
-            b := bit.get(text[pos:space])
-        ):  # looked up: one line, unless the next line has head v too
-            v = b.bit_length() - 1
-            if startswith(heads[v], end := find("\n", space)):
-                end = find(heads[v + 1], pos, pos + longest)
-        else:
-            end = -2
-        if end == -1 and size - pos <= longest and text[-1] == "\n":
-            # v + 1 has no row: the rest of the text, if its last line has head v
-            if startswith(heads[v], text.rfind("\n", pos - 1, size - 1)):
-                end = size - 1
+            if end < 0:  # v + 1 has no row within reach: up to v's last line there
+                end = find("\n", rfind(heads[v], pos - 1, pos + longest) + 1)
+        k = len(heads[v]) - 1
         if end >= 0:  # take the run if each line is one id after one head "str(v) "
-            k = len(heads[v]) - 1
             tails = text[pos + k : end].replace(heads[v], "\n")
             if (row := seen.get(tails)) is None:
                 ids = tails.split("\n")
@@ -495,14 +489,18 @@ def parse_graph(text: str):
                     row = 0, 0
             if end - pos - len(tails) == row[1] * k:  # one head removed per line
                 masks[v] |= row[0]
-                pos, piece = end + 1, None
+                pos, guess = end + 1, True
                 v = v + 1 if v + 1 < n and startswith(heads[v + 1], end) else None
                 continue
-        if piece:
-            _read_lines(piece[0].splitlines(), masks, directed)
-            pos, piece = piece.end(), None
-        else:
-            piece = _PIECE.match(text, pos)
+        start, odd = pos, []  # declined: read v's consecutive lines once
+        while startswith(heads[v], pos - 1):
+            pos = find("\n", pos) + 1 or size
+        for line in text[start:pos].split("\n"):
+            if b := bit.get(line[k:]):
+                masks[v] |= b
+            else:
+                odd.append(line)
+        _read_lines("\n".join(odd).splitlines(), masks, directed)
         v = None
     if directed:
         return ColoredDiGraph._from_masks(n, colors, masks)

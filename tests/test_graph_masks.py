@@ -218,15 +218,14 @@ def test_written_texts_read_as_by_reference(text):
 
 
 @settings(max_examples=500, deadline=None)
-@given(graph_texts() | written_texts() | st.text(st.sampled_from("01 2\n\r\x0b\x85a")))
-def test_pieces_tile_the_text(text):
-    pieces = list(graph_core._PIECE.finditer(text))
-    assert "".join(piece[0] for piece in pieces) == text
-    for piece in pieces:
-        if piece[1] is None:  # one line, its "\n" last
-            assert "\n" not in piece[0][:-1]
-        else:  # a run: "u v" lines with one head
-            assert {ln.split(" ")[0] for ln in piece[0].splitlines()} == {piece[1]}
+@given(
+    st.sampled_from(["", "digraph 3\nnocolors\n", "graph 13\nnocolors\n"]),
+    st.text(st.sampled_from("01 2\n\r\x0b\x85a")),
+)
+def test_texts_of_few_characters_read_as_by_reference(header, body):
+    # ids with leading zeros, heads that begin longer ids, stray spaces,
+    # and every kind of line boundary, at random
+    assert_read_as_by_reference(header + body)
 
 
 def test_runs_reader_leaves_masks_alone_when_it_declines():
@@ -342,15 +341,23 @@ def test_texts_without_some_rows_read_as_by_reference(text):
     assert_read_as_by_reference(text)
 
 
-class CountingPiece:
-    """_PIECE with a count of its match calls."""
+def reduce_calls(monkeypatch) -> list[None]:
+    """One entry per reduce call parse_graph makes from now on."""
+    calls = []
 
-    def __init__(self):
-        self.pattern, self.calls = graph_core._PIECE, 0
+    def counting(*args):
+        calls.append(None)
+        return reduce(*args)
 
-    def match(self, *args):
-        self.calls += 1
-        return self.pattern.match(*args)
+    monkeypatch.setattr(graph_core, "reduce", counting)
+    return calls
+
+
+def written_rows(X) -> set[int]:
+    """The distinct non-empty rows format_graph writes for X."""
+    if isinstance(X, ColoredDiGraph):
+        return set(X.out_masks) - {0}
+    return {m & -(2 << u) for u, m in enumerate(X.masks)} - {0}
 
 
 @pytest.mark.parametrize(
@@ -363,15 +370,83 @@ class CountingPiece:
             make_rng(3),
         ),
         enhanced_power_graph(elementary_abelian_group(2, 6)),
+        # relabelled, so that v + 1 often has no row in mid-text
+        random_relabel(
+            power_graph(direct_product(quaternion_group(), cyclic_group(15))),
+            make_rng(4),
+        ),
+        random_relabel(enhanced_power_graph(elementary_abelian_group(3, 3)), make_rng(5)),
     ],
-    ids=["pow-Z240", "dpow-Z240", "dpow-Q8xZ15-relabelled", "epow-ElemAb(2,6)"],
+    ids=[
+        "pow-Z240",
+        "dpow-Z240",
+        "dpow-Q8xZ15-relabelled",
+        "epow-ElemAb(2,6)",
+        "pow-Q8xZ15-relabelled",
+        "epow-ElemAb(3,3)-relabelled",
+    ],
 )
-def test_written_runs_read_without_the_piece_pattern(monkeypatch, X):
+def test_written_runs_taken_whole(monkeypatch, X):
     text = format_graph(X)
-    counting = CountingPiece()
-    monkeypatch.setattr(graph_core, "_PIECE", counting)
+    read = lines_read_one_at_a_time(monkeypatch)
+    calls = reduce_calls(monkeypatch)
     assert parse_graph(text) == X
-    assert counting.calls == 2  # the header and colors lines only
+    assert read == []
+    assert len(calls) == len(written_rows(X))
+
+
+@pytest.mark.parametrize(
+    "build", [power_graph, directed_power_graph], ids=["pow", "dpow"]
+)
+@pytest.mark.parametrize(
+    "respell",
+    [lambda text: text.replace("\n", " \n"), lambda text: text.replace("\n", "\r\n")],
+    ids=["trailing-space", "crlf"],
+)
+def test_respelled_rows_guessed_once_each(monkeypatch, build, respell):
+    # every line of each run is declined: the run is read line by line
+    # once, not guessed again at each of its lines
+    X = build(cyclic_group(240))
+    text = respell(format_graph(X))
+    assert parse_graph(text) == reference_parse_graph(text) == X
+    calls = reduce_calls(monkeypatch)
+    assert parse_graph(text) == X
+    rows = {ln.split()[0] for ln in text.splitlines()[2:]}
+    assert 0 < len(calls) <= len(rows)
+
+
+@pytest.mark.parametrize("where", ["heads", "tails", "both"])
+def test_leading_zeros_read_as_by_reference(monkeypatch, where):
+    # no line is written: heads with a leading zero are read a run of
+    # equal first words at a time, tails with one after a declined guess
+    X = power_graph(cyclic_group(240))
+    top, rows = rows_by_head(format_graph(X))
+    arcs = [ln.split() for head in rows for ln in rows[head]]
+    zero = {"heads": (1, 0), "tails": (0, 1), "both": (1, 1)}[where]
+    lines = ["0" * zero[0] + u + " " + "0" * zero[1] + w for u, w in arcs]
+    # and a one-word line amid the run of a zero-led head
+    lines.insert(3, lines[2].split()[0])
+    text = "\n".join(top + lines) + "\n"
+    assert parse_outcome(parse_graph, text) == GraphFormatError
+    del lines[3]
+    text = "\n".join(top + lines) + "\n"
+    read = lines_read_one_at_a_time(monkeypatch)
+    assert parse_graph(text) == reference_parse_graph(text) == X
+    assert sorted(read) == sorted(lines)
+
+
+def test_lines_with_no_written_head_read_alone(monkeypatch):
+    # a blank line and a tab-spelled line between two runs go to the
+    # per-line reader, and no other line does
+    X = power_graph(cyclic_group(240))
+    header, colors, *lines = format_graph(X).splitlines()
+    i = next(i for i in range(len(lines) // 2, len(lines))
+             if lines[i].split()[0] != lines[i - 1].split()[0])
+    odd = ["", lines[i].replace(" ", "\t")]
+    text = "\n".join([header, colors, *lines[:i], *odd, *lines[i + 1 :]]) + "\n"
+    read = lines_read_one_at_a_time(monkeypatch)
+    assert parse_graph(text) == X
+    assert read == odd
 
 
 def test_twin_rows_reduced_once(monkeypatch):
