@@ -160,60 +160,40 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(tuple(table))
 
 
-def _greedy_generators(table, identity) -> list[int]:
-    """Generators of a Latin square with an identity, each the smallest
-    element outside the product-closure of those before it.
-
-    A closure is a subquasigroup, and a proper subquasigroup T has at
-    most n/2 elements (aT and T are disjoint for a outside T), so there
-    are at most floor(log2 n) generators.  Each closure member is
-    multiplied on both sides with the members before it: O(n^2) in all.
-    """
-    n = len(table)
-    members, inside = [identity], {identity}
-    done = 1  # members[:done] have been multiplied with each other
-    candidate = 0
-    generators = []
-    while len(members) < n:
-        while candidate in inside:
-            candidate += 1
-        generators.append(candidate)
-        members.append(candidate)
-        inside.add(candidate)
-        while done < len(members):
-            u = members[done]
-            done += 1
-            times_earlier = itemgetter(*members[:done])
-            fresh = set(times_earlier(table[u]))
-            fresh.update(map(itemgetter(u), times_earlier(table)))
-            fresh -= inside
-            members.extend(fresh)
-            inside |= fresh
-    return generators
-
-
 def group_from_cayley_table(table) -> FiniteGroup:
-    """Validate an arbitrary table and return a FiniteGroup with the
-    identity relabeled to index 0.
+    """Validate an arbitrary table of ints and return a FiniteGroup with
+    the identity relabeled to index 0.
 
-    Associativity is checked exactly by Light's test: the elements a with
-    (xa)y = x(ay) for all x, y are closed under the product, so checking
-    a generating set suffices, O(n^2 log n) in all.
+    Associativity is checked exactly by Light's test.  The elements a
+    with (xa)y = x(ay) for all x, y form a subgroup, the middle nucleus,
+    so a is tested only outside the subgroup H that the elements passed
+    so far generate, and H grows by right products with them after each
+    pass.  Each pass at least doubles H, so there are at most log2 n
+    passes, O(n^2 log n) in all.
 
-    Raises CayleyTableError naming the failed axiom and a witness.
+    Raises CayleyTableError naming a row that is not a sequence, an entry
+    that is not an int, or the failed axiom and a witness.
     """
-    table = tuple(tuple(row) for row in table)
+    table = list(table)
     n = len(table)
     if n == 0:
         raise CayleyTableError("empty table")
     for i, row in enumerate(table):
+        try:
+            row = table[i] = tuple(row)
+        except TypeError:
+            raise CayleyTableError(f"row {i} is not a sequence") from None
         if len(row) != n:
             raise CayleyTableError(f"row {i} has length {len(row)}, expected {n}")
+        if not all(issubclass(t, int) for t in set(map(type, row))):
+            j, x = next((j, x) for j, x in enumerate(row) if not isinstance(x, int))
+            raise CayleyTableError(f"entry table[{i}][{j}] = {x!r} is not an int")
         if min(row) < 0 or max(row) >= n:
             j, x = next((j, x) for j, x in enumerate(row) if not 0 <= x < n)
             raise CayleyTableError(
                 f"closure fails: entry table[{i}][{j}] = {x} is outside [0, {n})"
             )
+    table = tuple(table)
     # each column is made from the rows as the check reaches it
     for i, (row, column) in enumerate(zip(table, zip(*table))):
         if len(set(row)) != n:
@@ -228,7 +208,12 @@ def group_from_cayley_table(table) -> FiniteGroup:
     for i, row in enumerate(table):
         if table[row.index(identity)][i] != identity:
             raise CayleyTableError(f"inverse fails: element {i} has no two-sided inverse")
-    for a in _greedy_generators(table, identity):
+    # H as a list and as flags, and the passed elements, which generate it
+    members, inside, passed = [identity], bytearray(n), []
+    inside[identity] = 1
+    for a in range(n):
+        if inside[a]:
+            continue
         # times_a(row of x) is y -> x(ay), table[xa] is y -> (xa)y
         times_a = itemgetter(*table[a])
         for x, row_x in enumerate(table):
@@ -236,6 +221,12 @@ def group_from_cayley_table(table) -> FiniteGroup:
                 xa, row_a = table[row_x[a]], table[a]
                 c = next(c for c in range(n) if xa[c] != row_x[row_a[c]])
                 raise CayleyTableError(f"associativity fails at triple ({x}, {a}, {c})")
+        passed.append(a)
+        for row_h in map(table.__getitem__, members):  # sees the members it adds
+            for y in map(row_h.__getitem__, passed):
+                if not inside[y]:
+                    inside[y] = 1
+                    members.append(y)
     if identity != 0:
         swap = list(range(n))
         swap[identity], swap[0] = 0, identity

@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from math import lcm
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,28 @@ class TestCayleyTableValidation:
         with pytest.raises(CayleyTableError):
             group_from_cayley_table([])
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([["a"]], "entry table[0][0] = 'a' is not an int"),
+            ([[0.0]], "entry table[0][0] = 0.0 is not an int"),
+            ([[0, 1], [1, None]], "entry table[1][1] = None is not an int"),
+            ([[0, 1], [1, 0.0]], "entry table[1][1] = 0.0 is not an int"),
+            ([[0, 1], [1, 2.0]], "entry table[1][1] = 2.0 is not an int"),
+            ([[0, 1], ["1", 0]], "entry table[1][0] = '1' is not an int"),
+            ([[0, 1], 1], "row 1 is not a sequence"),
+            ([None], "row 0 is not a sequence"),
+        ],
+    )
+    def test_non_integer_entry_named(self, table, message):
+        with pytest.raises(CayleyTableError) as exc:
+            group_from_cayley_table(table)
+        assert str(exc.value) == message
+
+    def test_bool_table_accepted(self):
+        G = group_from_cayley_table([[False, True], [True, False]])
+        assert G.table == ((0, 1), (1, 0)) and G.element_orders == (1, 2)
+
 
 def _two_sided_identity(table):
     n = len(table)
@@ -346,28 +369,116 @@ class TestLightAssociativity:
         accepted = _check_against_reference(table)
         assert accepted == (_two_sided_identity(table) is not None)
 
-    def test_generating_set_is_logarithmic(self, catalog):
-        # the Light test runs once per generator; n.bit_length() - 1 is
-        # floor(log2 n)
+    def test_generating_set_is_logarithmic(self, catalog, light_test):
+        # Light's test reads the rows of the reference generators, at most
+        # floor(log2 n) = n.bit_length() - 1 of them; each table keeps its
+        # identity at 0
         rng = random.Random(7)
         tables = [(name, G.table) for name, G in catalog]
         for spec in ("D50", "D75", "D100", "D125", "Q8xZ15"):
             G = parse_group_spec(spec)
-            perm = list(range(G.order))
-            rng.shuffle(perm)
+            perm = [0] + rng.sample(range(1, G.order), G.order - 1)
             tables.append((spec, relabel_table(G.table, perm)))
         for name, table in tables:
-            identity = _two_sided_identity(table)
-            gens = group_core._greedy_generators(table, identity)
-            assert len(gens) <= len(table).bit_length() - 1, (name, gens)
-            assert gens == _greedy_by_closure(table, identity), name
+            outcome, rows = light_test(table)
+            assert outcome == table, name
+            assert rows == _greedy_by_closure(table, 0), name
+            assert len(rows) <= len(table).bit_length() - 1, (name, rows)
 
-    def test_generators_of_loops_up_to_order_six(self):
-        # products on one side only pick other generators for 192 of the
-        # 9,471 loops, all of order six
+    def test_generators_of_loops_up_to_order_six(self, light_test):
+        # 9,471 loops: the outcome and the rows read are the reference's;
+        # with the identity moved off index 0 the outcome still is
+        rng = random.Random(6)
         for n in range(1, 7):
             for table in normalized_loops(n):
-                assert group_core._greedy_generators(table, 0) == _greedy_by_closure(table, 0)
+                outcome, rows = _reference_outcome(table)
+                assert light_test(table) == (outcome, rows)
+                table = relabel_table(table, rng.sample(range(n), n))
+                assert light_test(table)[0] == _reference_outcome(table)[0]
+
+    def test_switched_group_tables_of_orders_8_to_30(self, light_test):
+        # one or two intercalate switches on a group table, away from row
+        # and column 0 and from the identity's entries, leave a loop with
+        # the group's inverses; relabelled, it is refused with the
+        # reference's triple unless it is associative
+        rng = random.Random(25)
+        specs = ("D4", "Q8", "Z8", "Z2xZ4", "ElemAb(2,3)", "D5", "Z2xZ6", "D6",
+                 "Q8xZ2", "D8", "Z2xZ8", "ElemAb(2,4)", "D9", "Z2xZ10", "D10",
+                 "D11", "D12", "Q8xZ3", "D13", "D14", "Z2xZ14", "D15", "Z30")
+        accepted = 0
+        for _ in range(800):
+            table = [list(row) for row in parse_group_spec(rng.choice(specs)).table]
+            n = len(table)
+            for _ in range(rng.randint(1, 2)):
+                _switch_intercalate(table, rng)
+            table = relabel_table(table, rng.sample(range(n), n))
+            outcome = light_test(table)[0]
+            assert outcome == _reference_outcome(table)[0]
+            assert isinstance(outcome, tuple) == reference_is_associative(table)
+            accepted += isinstance(outcome, tuple)
+        assert accepted < 800
+
+
+@pytest.fixture
+def light_test(monkeypatch):
+    """A function from a table to group_from_cayley_table's outcome (the
+    table or the refusal text) and the non-identity rows passed to
+    itemgetter, in order.  With the identity at 0 these are the rows
+    Light's test reads, one itemgetter each."""
+    calls = []
+
+    def counting_itemgetter(*items):
+        calls.append(items)
+        return itemgetter(*items)
+
+    monkeypatch.setattr(group_core, "itemgetter", counting_itemgetter)
+
+    def run(table):
+        calls.clear()
+        try:
+            outcome = group_from_cayley_table(table).table
+        except CayleyTableError as exc:
+            outcome = str(exc)
+        e = _two_sided_identity(table)
+        row_of = {tuple(row): a for a, row in enumerate(table) if a != e}
+        return outcome, [row_of[items] for items in calls if items in row_of]
+
+    return run
+
+
+def _reference_outcome(table):
+    """What validating a loop owes, and the rows Light's test reads: the
+    least element without a two-sided inverse is refused first; else the
+    first of _greedy_by_closure's generators a that fails, with the
+    least x and then the least c; else the table with its identity at 0."""
+    n, e = len(table), _two_sided_identity(table)
+    i = next((i for i in range(n) if table[table[i].index(e)][i] != e), None)
+    if i is not None:
+        return f"inverse fails: element {i} has no two-sided inverse", []
+    rows = []
+    for a in _greedy_by_closure(table, e):
+        rows.append(a)
+        for x in range(n):
+            for c in range(n):
+                if table[table[x][a]][c] != table[x][table[a][c]]:
+                    return f"associativity fails at triple ({x}, {a}, {c})", rows
+    return _identity_to_zero(table, e), rows
+
+
+def _switch_intercalate(table, rng):
+    """Swap a and b in some cells (x, y), (x, y2), (x2, y), (x2, y2) that
+    read a b / b a, none in row or column 0 and neither a nor b the
+    identity 0, in place; the table stays a Latin square."""
+    n = len(table)
+    while True:
+        x, x2 = rng.sample(range(1, n), 2)
+        y = rng.randrange(1, n)
+        a, b = table[x][y], table[x2][y]
+        y2 = table[x].index(b)
+        if 0 not in (a, b, y2) and table[x2][y2] == a:
+            table[x][y] = table[x2][y2] = b
+            table[x][y2] = table[x2][y] = a
+            return
 
 
 def _greedy_by_closure(table, identity):
