@@ -103,7 +103,7 @@ def _generate(args) -> int:
     )
     graph = graph_core.relabel(build(G), perm)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(graph, with_colors=args.kind == "cdpow"))
+        format_graph(graph, with_colors=args.kind == "cdpow", out=fh)
     return EXIT_OK
 
 
@@ -145,13 +145,12 @@ def _detect(args) -> int:
 
 def _reconstruct(args) -> int:
     [graph] = _read(args.kind, args.input)
-    out = _stages(graph, args.kind)[args.emit_stage]
-    if args.emit_stage == "r4":  # R4 is a record, written without a graph
-        text = format_r4(out)
-    else:
-        text = format_graph(out, with_colors=args.emit_stage != "dpow")
+    stage = _stages(graph, args.kind)[args.emit_stage]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        if args.emit_stage == "r4":  # R4 is a record, written without a graph
+            fh.write(format_r4(stage))
+        else:
+            format_graph(stage, with_colors=args.emit_stage != "dpow", out=fh)
     return EXIT_OK
 
 

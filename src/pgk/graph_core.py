@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import or_
 
 from .errors import GraphFormatError, SizeCapError
@@ -188,14 +188,14 @@ def scatter(pairs, n: int) -> list[int]:
     return masks
 
 
-def transpose(masks) -> list[int]:
-    """The n masks of the reversed arcs: bit u of the v-th is bit v of
-    masks[u], for masks below 1 << n."""
-    n = len(masks)
+def transpose(masks, width=None) -> list[int]:
+    """The width masks of the reversed arcs: bit u of the v-th is bit v of
+    masks[u], for masks below 1 << width (len(masks) if not given)."""
+    w = len(masks) if width is None else width
     # rows last to first, each digit string most significant bit first:
-    # column v is then every n-th digit from n - 1 - v, high bit first
-    flat = "".join(map(format, reversed(masks), repeat(f"0{n}b", n)))
-    return [int(flat[n - 1 - v :: n], 2) for v in range(n)]
+    # column v is then every w-th digit from w - 1 - v, high bit first
+    flat = "".join(map(format, reversed(masks), repeat(f"0{w}b", len(masks))))
+    return [int(flat[w - 1 - v :: w], 2) for v in range(w)]
 
 
 def reach(masks, v: int) -> int:
@@ -279,15 +279,19 @@ def strong_product(X: ColoredDiGraph, Y: ColoredDiGraph) -> ColoredDiGraph:
 
 
 def relabel(X, perm):
-    """Apply a permutation (perm[old] = new) to the vertices of X."""
+    """Apply a permutation (perm[old] = new) to the vertices of X.  Each
+    distinct row is moved once: a group's graph has at most one per
+    cyclic subgroup."""
     if sorted(perm) != list(range(X.n)):
         raise ValueError("perm must be a permutation of the vertex set")
     old = sorted(range(X.n), key=perm.__getitem__)  # old[new] is the old vertex
     masks = _masks(X)
-    # move the rows, then move the columns as rows of the transpose
-    columns = transpose([masks[v] for v in old])
-    masks = transpose([columns[v] for v in old])
-    return type(X)._from_masks(X.n, tuple(X.colors[v] for v in old), masks)
+    rows = dict.fromkeys(masks)
+    # move the columns of the distinct rows as rows of their transpose
+    columns = transpose(list(rows), X.n)
+    rows = dict(zip(rows, transpose([columns[v] for v in old], len(rows))))
+    moved = [rows[masks[v]] for v in old]
+    return type(X)._from_masks(X.n, tuple(X.colors[v] for v in old), moved)
 
 
 def _signature(X, v):
@@ -368,9 +372,10 @@ def brute_force_color_iso(X, Y, cap: int = ISO_CAP_DEFAULT):
 # edges satisfy u < v.  Self-loops only in digraphs.
 
 
-def format_graph(X, with_colors: bool = True) -> str:
+def format_graph(X, with_colors: bool = True, out=None) -> str | None:
     """X's text, each row's names picked out of its bit string; a digraph's
-    equal out-rows (in a DPow, one cyclic subgroup's generators) are picked once."""
+    equal out-rows (in a DPow, one cyclic subgroup's generators) are picked
+    once.  Given a text file out, it is written there, as format_rows does."""
     directed = isinstance(X, ColoredDiGraph)
     names = [str(v) for v in range(X.n)]
     if directed:
@@ -378,25 +383,27 @@ def format_graph(X, with_colors: bool = True) -> str:
         rows = map(picked.__getitem__, X.out_masks)
     else:
         rows = (bits(m & -(2 << u), names) for u, m in enumerate(X.masks))
-    return format_rows(X.colors, rows, directed, with_colors)
+    return format_rows(X.colors, rows, directed, with_colors, out)
 
 
-def format_rows(colors, rows, directed: bool = False, with_colors: bool = True) -> str:
+def format_rows(
+    colors, rows, directed: bool = False, with_colors: bool = True, out=None
+) -> str | None:
     """The text of a graph on len(colors) vertices whose u-th row lists
     the names (str(v)) of u's out-neighbors (undirected: its neighbors
-    above it) ascending; a vertex with no row has none."""
-    lines = [f"{'digraph' if directed else 'graph'} {len(colors)}"]
-    if with_colors:
-        lines.append("colors " + " ".join(str(c) for c in colors))
-    else:
-        lines.append("nocolors")
+    above it) ascending; a vertex with no row has none.  Given a text
+    file out, the header and then each row are written into it as they
+    are formed, one write each, and None is returned."""
+    colors_line = "colors " + " ".join(map(str, colors)) if with_colors else "nocolors"
+    header = f"{'digraph' if directed else 'graph'} {len(colors)}\n{colors_line}\n"
     # one string per vertex with a neighbor in its row
-    for u, row in enumerate(rows):
-        if row:
-            head = f"{u} "
-            lines.append(head + ("\n" + head).join(row))
-    lines.append("")
-    return "\n".join(lines)
+    lines = chain(
+        [header],
+        (f"{u} " + f"\n{u} ".join(row) + "\n" for u, row in enumerate(rows) if row),
+    )
+    if out is None:
+        return "".join(lines)
+    out.writelines(lines)
 
 
 def parse_graph(text: str):

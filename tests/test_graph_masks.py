@@ -26,6 +26,7 @@ from pgk.group_core import (
     cyclic_group,
     direct_product,
     elementary_abelian_group,
+    parse_group_spec,
     quaternion_group,
 )
 from pgk.powergraph_build import (
@@ -124,6 +125,30 @@ def test_relabel_on_zero_and_one_vertex(X):
     assert relabel(X, perm) == reference_relabel(X, perm) == X
     with pytest.raises(ValueError, match="permutation"):
         relabel(X, [X.n])
+
+
+@pytest.mark.parametrize("spec", ["Z720", "D45xZ7", "ElemAb(2,8)"])
+def test_relabel_moves_equal_rows_as_the_reference_does(spec):
+    # a group's graph has one distinct row per cyclic subgroup, or fewer
+    G = parse_group_spec(spec)
+    rng = make_rng(26)
+    for build in (power_graph, enhanced_power_graph, directed_power_graph):
+        X = random_relabel(build(G), rng)
+        perm = rng.sample(range(X.n), X.n)
+        assert relabel(X, perm) == reference_relabel(X, perm), build.__name__
+
+
+def test_relabel_with_every_row_distinct():
+    rng = make_rng(27)
+    n = 90
+    edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5)
+    X = ColoredGraph(n, tuple(rng.randint(1, 4) for _ in range(n)), edges)
+    D = ColoredDiGraph(n, X.colors, edges | {(v, u) for u, v in edges if u % 3})
+    for Y in (X, D):
+        masks = Y.out_masks if Y is D else Y.masks
+        assert len(set(masks)) == n
+        perm = rng.sample(range(n), n)
+        assert relabel(Y, perm) == reference_relabel(Y, perm)
 
 
 HEADERS = ["graph 3", "digraph 3", "graph 12", "graph", "graph -1", "graph x",
@@ -628,6 +653,27 @@ def test_transpose_reverses_each_arc(masks):
             if masks[u] >> v & 1:
                 expected[v] |= 1 << u
     assert transpose(masks) == expected
+
+
+@st.composite
+def rectangles(draw):
+    """k >= 1 rows of a given width: relabel transposes a graph's k
+    distinct rows of width n, and then n rows of width k."""
+    width = draw(st.integers(1, 70))
+    return width, draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangles())
+def test_transpose_of_a_rectangle_reverses_each_arc(case):
+    width, masks = case
+    expected = [0] * width
+    for u, m in enumerate(masks):
+        for v in range(width):
+            if m >> v & 1:
+                expected[v] |= 1 << u
+    assert transpose(masks, width) == expected
+    assert transpose(expected, len(masks)) == masks
 
 
 @settings(max_examples=300, deadline=None)
