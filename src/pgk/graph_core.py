@@ -373,16 +373,26 @@ def brute_force_color_iso(X, Y, cap: int = ISO_CAP_DEFAULT):
 
 
 def format_graph(X, with_colors: bool = True, out=None) -> str | None:
-    """X's text, each row's names picked out of its bit string; a digraph's
-    equal out-rows (in a DPow, one cyclic subgroup's generators) are picked
-    once.  Given a text file out, it is written there, as format_rows does."""
+    """X's text, each row's names picked out of its bit string once per
+    distinct row: a digraph's equal out-rows (in a DPow, one cyclic
+    subgroup's generators) are one pick, and so are a graph's closed
+    twins, whose rows are slices of the pick above the first of them.
+    Given a text file out, it is written there, as format_rows does."""
     directed = isinstance(X, ColoredDiGraph)
     names = [str(v) for v in range(X.n)]
     if directed:
         picked = {m: bits(m, names) for m in set(X.out_masks)}
         rows = map(picked.__getitem__, X.out_masks)
     else:
-        rows = (bits(m & -(2 << u), names) for u, m in enumerate(X.masks))
+        # a mask's names above its smallest vertex (zip's last write) are
+        # picked once; each twin u's row is the tail of that list above u
+        first = dict(zip(reversed(X.masks), range(X.n - 1, -1, -1)))
+        picked = {m: bits(m & -(2 << u), names) for m, u in first.items()}
+        rows = (
+            row[len(row) - (m >> u + 1).bit_count() :]
+            for u, m in enumerate(X.masks)
+            for row in (picked[m],)
+        )
     return format_rows(X.colors, rows, directed, with_colors, out)
 
 

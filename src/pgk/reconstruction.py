@@ -70,10 +70,11 @@ def format_r4(X: R4Graph) -> str:
     (i, m - 1); a B-side vertex has none above it."""
     m = X.m
     first = [m + i * m - i * (i + 1) // 2 for i in range(m + 1)]
-    names = [str(v) for v in range(first[m])]
     pair_colors = [X.below[j].get(i, 1) for i in range(m) for j in range(i + 1, m)]
+    # each row's names are formed as it is written, not kept for all pairs
     rows = (
-        [names[first[s] + i - s - 1] for s in range(i)] + names[first[i] : first[i + 1]]
+        [str(first[s] + i - s - 1) for s in range(i)]
+        + list(map(str, range(first[i], first[i + 1])))
         for i in range(m)
     )
     return format_rows(X.ccg_colors + tuple(pair_colors), rows)

@@ -551,6 +551,23 @@ def test_twin_rows_selected_once(monkeypatch):
     assert len(calls) == len(set(X.out_masks)) == 20
 
 
+@pytest.mark.parametrize("build", [power_graph, enhanced_power_graph])
+def test_closed_twin_rows_selected_once(monkeypatch, build):
+    # relabelled, so that the first of a cyclic subgroup's generators is
+    # not the smallest in the group's own numbering
+    X = random_relabel(build(direct_product(quaternion_group(), cyclic_group(30))), make_rng(27))
+    expected = reference_format_graph(X)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return bits(*args)
+
+    monkeypatch.setattr(graph_core, "bits", counting)
+    assert format_graph(X) == expected
+    assert len(calls) == len(set(X.masks)) < X.n
+
+
 def lines_read_one_at_a_time(monkeypatch) -> list[str]:
     """The lines parse_graph passes to its per-line reader from now on."""
     read = []

@@ -5,10 +5,11 @@ to the text it returns without one; the CLI writes each file that way."""
 import io
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pgk import cli
-from pgk.graph_core import ColoredDiGraph, ColoredGraph, format_graph, load_graph
-from pgk.group_core import parse_group_spec
+from pgk.graph_core import ColoredDiGraph, ColoredGraph, format_graph, load_graph, relabel
+from pgk.group_core import elementary_abelian_group, parse_group_spec
 from pgk.powergraph_build import (
     directed_power_graph,
     enhanced_power_graph,
@@ -17,7 +18,13 @@ from pgk.powergraph_build import (
 from pgk.reconstruction import cdpow_from_r1
 from pgk.reductions import reduce_r1
 
-from helpers import make_rng, random_relabel, save_graph
+from helpers import (
+    make_rng,
+    random_relabel,
+    reference_format_graph,
+    save_graph,
+    small_graphs,
+)
 
 
 class Recorder(io.StringIO):
@@ -78,6 +85,57 @@ def test_streamed_writes_on_zero_and_one_vertex(n, with_colors):
     ):
         writes = streamed(X, with_colors)
         assert "".join(writes) == format_graph(X, with_colors)
+        assert_one_row_per_write(X, writes)
+
+
+@st.composite
+def twin_blowups(draw):
+    """A small graph with each vertex blown up into a clique of 1-4 closed
+    twins of its color, then randomly relabelled."""
+    X = draw(small_graphs(max_n=6, max_color=2))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=X.n, max_size=X.n))
+    blown = [v for v, size in enumerate(sizes) for _ in range(size)]
+    edges = frozenset(
+        (a, b)
+        for b, v in enumerate(blown)
+        for a, u in enumerate(blown[:b])
+        if u == v or X.has_edge(u, v)
+    )
+    Y = ColoredGraph(len(blown), tuple(X.colors[v] for v in blown), edges)
+    return relabel(Y, draw(st.permutations(range(Y.n))))
+
+
+def star(n):
+    return ColoredGraph(n, (1,) * n, frozenset((0, v) for v in range(1, n)))
+
+
+def perfect_matching(k):
+    return ColoredGraph(2 * k, (1,) * 2 * k, frozenset((2 * v, 2 * v + 1) for v in range(k)))
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A star, a perfect matching or Pow(ElemAb(2, k)), randomly
+    relabelled: from three vertices on, a star's and a Pow's closed
+    neighborhoods are all distinct, and a matching's come in pairs."""
+    X = draw(
+        st.integers(0, 40).map(star)
+        | st.integers(0, 20).map(perfect_matching)
+        | st.integers(1, 7).map(lambda k: power_graph(elementary_abelian_group(2, k)))
+    )
+    return relabel(X, draw(st.permutations(range(X.n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_blowups() | sparse_graphs())
+@example(star(0))
+@example(star(1))
+def test_twin_heavy_and_sparse_graphs_written_as_by_reference(X):
+    for with_colors in (True, False):
+        expected = reference_format_graph(X, with_colors)
+        writes = streamed(X, with_colors)
+        assert format_graph(X, with_colors) == expected
+        assert "".join(writes) == expected
         assert_one_row_per_write(X, writes)
 
 
