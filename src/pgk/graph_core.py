@@ -424,9 +424,9 @@ def parse_graph(text: str):
     (not carried on from v - 1's run) whose next line has another head is
     one line.  A guess is taken only if, with each "\n" + u + " " removed,
     every line is one id spelled as str(w) and one head went per line.
-    Else u's consecutive lines are read once: one spelled "u str(w)" is
-    ORed in, any other goes to _read_lines, as do lines with no such head,
-    a run of equal first words at once.  Lines are cut at "\n", then by
+    Else the guessed run goes to _read_lines at once, a reach more while
+    u's lines go on, as do a line with no written head and the lines after
+    it to the first "\n" a reach on.  Lines are cut at "\n", then by
     str.splitlines: they are the lines it gives for the whole text.  Both
     kinds' lines are read as arcs, an undirected graph's then symmetrised.
     A per-parse dict of tails texts reduces each distinct row to a mask
@@ -481,22 +481,16 @@ def parse_graph(text: str):
         if v is None:  # look the head up
             space = find(" ", pos, pos + width + 1)
             if (b := bit.get(text[pos:space]) if space >= 0 else None) is None:
-                # no written head: the line, and the next ones with its first word
-                start, end = pos, find("\n", pos) + 1 or size
-                space = find(" ", pos, end)
-                word, pos = "\n" + text[pos : space + 1], end
-                while space >= 0 and startswith(word, pos - 1):
-                    pos = find("\n", pos) + 1 or size
-                _read_lines(text[start:pos].splitlines(), masks, directed)
-                continue
-            v, end = b.bit_length() - 1, find("\n", space)
-            guess = startswith(heads[v], end)  # else one line
+                guess, end = False, -1  # no written head
+            else:
+                v, end = b.bit_length() - 1, find("\n", space)
+                guess = startswith(heads[v], end)  # else one line
         if guess:  # carried on, or v's next line has v's head too
             end = find(heads[v + 1], pos, pos + longest)
             if end < 0:  # v + 1 has no row within reach: up to v's last line there
                 end = find("\n", rfind(heads[v], pos - 1, pos + longest) + 1)
-        k = len(heads[v]) - 1
         if end >= 0:  # take the run if each line is one id after one head "str(v) "
+            k = len(heads[v]) - 1
             tails = text[pos + k : end].replace(heads[v], "\n")
             if (row := seen.get(tails)) is None:
                 ids = tails.split("\n")
@@ -509,15 +503,12 @@ def parse_graph(text: str):
                 pos, guess = end + 1, True
                 v = v + 1 if v + 1 < n and startswith(heads[v + 1], end) else None
                 continue
-        start, odd = pos, []  # declined: read v's consecutive lines once
-        while startswith(heads[v], pos - 1):
-            pos = find("\n", pos) + 1 or size
-        for line in text[start:pos].split("\n"):
-            if b := bit.get(line[k:]):
-                masks[v] |= b
-            else:
-                odd.append(line)
-        _read_lines("\n".join(odd).splitlines(), masks, directed)
+        # declined: the guessed run, and a reach more while v's lines go on;
+        # no written head: the lines within one run's reach
+        start, pos = pos, (end if end >= 0 else find("\n", pos + longest)) + 1 or size
+        while v is not None and startswith(heads[v], pos - 1):
+            pos = find("\n", pos + longest) + 1 or size
+        _read_lines(text[start:pos].splitlines(), masks, directed)
         v = None
     if directed:
         return ColoredDiGraph._from_masks(n, colors, masks)
@@ -534,14 +525,11 @@ def _read_lines(lines, masks, directed) -> None:
     for ln in lines:
         try:
             a, b = ln.split()
+            u, v = int(a), int(b)
         except ValueError:
             if ln.strip():
                 raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
             continue  # blank line
-        try:
-            u, v = int(a), int(b)
-        except ValueError:
-            raise GraphFormatError(f"bad edge line: {ln.strip()!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             kind = "arc" if directed else "edge"
             raise GraphFormatError(f"bad {kind} ({u}, {v}) for n={n}")

@@ -104,7 +104,7 @@ def r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Graph:
     for i, p in enumerate(partners if not z else ()):
         if apart := ~p & ((1 << len(cc)) - (2 << i)):  # non-partners above i
             raise PipelineError(
-                "not a power graph: CC vertices "
+                "not a power graph or an enhanced power graph: CC vertices "
                 f"{cc[i]} and {cc[bits(apart)[0]]} have disjoint closed neighborhoods"
             )
     below = [

@@ -454,7 +454,7 @@ def dense_r4_from_marked_graph(Gamma: ColoredGraph, marking: CcgMarking) -> R4Gr
             size = (closed[i] & closed[j]).bit_count()
             if size == 0:
                 raise PipelineError(
-                    "not a power graph: CC vertices "
+                    "not a power graph or an enhanced power graph: CC vertices "
                     f"{cc[i]} and {cc[j]} have disjoint closed neighborhoods"
                 )
             inter[(i, j)] = size

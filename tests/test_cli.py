@@ -322,6 +322,17 @@ class TestReconstruct:
         assert captured.out == ""
         assert "1 elements x with x^3 = 1, not a multiple of 3" in captured.err
 
+    def test_disjoint_pair_refusal_true_of_either_kind(self, tmp_path, capsys):
+        # two isolated vertices, both CC under --kind epow (pow refuses
+        # first, for want of a universal vertex): R4 refuses the pair
+        src = tmp_path / "k2bar.graph"
+        src.write_text("graph 2\nnocolors\n")
+        assert run("detect", str(src), "--kind", "epow") == 4
+        assert capsys.readouterr().err == (
+            "error: not a power graph or an enhanced power graph: "
+            "CC vertices 0 and 1 have disjoint closed neighborhoods\n"
+        )
+
 
 class TestFormatCalls:
     """Every graph file is written by one call to pgk.cli.format_graph (the

@@ -3,7 +3,9 @@ expansion, which read and write the stored bitmasks, agree exactly with
 the edge-tuple references in helpers; and no CLI path builds the edge or
 arc views."""
 
+import importlib.util
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from pgk.graph_core import (
     ColoredGraph,
     bits,
     format_graph,
+    load_graph,
     parse_graph,
     reach,
     relabel,
@@ -420,6 +423,37 @@ def test_written_runs_taken_whole(monkeypatch, X):
     assert len(calls) == len(written_rows(X))
 
 
+def load_bench_groups():
+    """bench/groups.py, which writes the benchmark's graph files and
+    imports nothing from pgk."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "groups.py"
+    spec = importlib.util.spec_from_file_location("bench_groups", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, kind", [("D45xZ7", "pow"), ("ElemAb(3,5)", "epow"), ("Heis3xZ9", "dpow")]
+)
+def test_bench_inputs_taken_run_by_run(monkeypatch, tmp_path, name, kind):
+    # the benchmark's relabelled files are in the written form: no line of
+    # them goes to the per-line reader
+    groups = load_bench_groups()
+    G = groups.Group(name)
+    pairs = {"pow": G.power_edges, "epow": G.enhanced_edges, "dpow": G.directed_arcs}[kind]()
+    path = tmp_path / f"{kind}.txt"
+    perm = groups.permutation(G.order, make_rng(29))
+    groups.write_graph(path, G.order, pairs, perm, directed=kind == "dpow")
+    read = lines_read_one_at_a_time(monkeypatch)
+    X = load_graph(path)
+    assert read == []
+    if kind == "dpow":
+        assert sum(m.bit_count() for m in X.out_masks) == len(pairs)
+    else:
+        assert sum(m.bit_count() - 1 for m in X.masks) == 2 * len(pairs)
+
+
 @pytest.mark.parametrize(
     "build", [power_graph, directed_power_graph], ids=["pow", "dpow"]
 )
@@ -458,20 +492,6 @@ def test_leading_zeros_read_as_by_reference(monkeypatch, where):
     read = lines_read_one_at_a_time(monkeypatch)
     assert parse_graph(text) == reference_parse_graph(text) == X
     assert sorted(read) == sorted(lines)
-
-
-def test_lines_with_no_written_head_read_alone(monkeypatch):
-    # a blank line and a tab-spelled line between two runs go to the
-    # per-line reader, and no other line does
-    X = power_graph(cyclic_group(240))
-    header, colors, *lines = format_graph(X).splitlines()
-    i = next(i for i in range(len(lines) // 2, len(lines))
-             if lines[i].split()[0] != lines[i - 1].split()[0])
-    odd = ["", lines[i].replace(" ", "\t")]
-    text = "\n".join([header, colors, *lines[:i], *odd, *lines[i + 1 :]]) + "\n"
-    read = lines_read_one_at_a_time(monkeypatch)
-    assert parse_graph(text) == X
-    assert read == odd
 
 
 def test_twin_rows_reduced_once(monkeypatch):
@@ -582,22 +602,81 @@ def lines_read_one_at_a_time(monkeypatch) -> list[str]:
     return read
 
 
+def rows_reduced(monkeypatch) -> list[int]:
+    """The mask of each reduce call parse_graph completes from now on."""
+    done = []
+
+    def recording(*args):
+        done.append(reduce(*args))
+        return done[-1]
+
+    monkeypatch.setattr(graph_core, "reduce", recording)
+    return done
+
+
+ODD_SPELLINGS = {
+    "tab": lambda ln: ln.replace(" ", "\t") + "\n",
+    "trailing-space": lambda ln: ln + " \n",
+    "cr": lambda ln: ln + "\r",
+    "leading-zero": lambda ln: "0" + ln + "\n",
+    "blank-line": lambda ln: "\n" + ln + "\n",  # the odd line is the blank one
+}
+
+
+def odd_line_places(edges: list[str]) -> dict[str, int]:
+    """Indices into the edge lines: the first, a run's first line and a
+    line inside a run from mid-text on, and the last."""
+    heads = [ln.split()[0] for ln in edges]
+    mid = len(edges) // 2
+    return {
+        "first": 0,
+        "run-start": next(i for i in range(mid, len(edges)) if heads[i] != heads[i - 1]),
+        "mid-run": next(i for i in range(mid, len(edges) - 1)
+                        if heads[i - 1] == heads[i] == heads[i + 1]),
+        "last": len(edges) - 1,
+    }
+
+
+@pytest.mark.parametrize("place", ["first", "run-start", "mid-run", "last"])
+@pytest.mark.parametrize("spelling", list(ODD_SPELLINGS))
 @pytest.mark.parametrize(
     "build", [power_graph, directed_power_graph], ids=["pow", "dpow"]
 )
-def test_written_graph_read_line_by_line_only_where_needed(monkeypatch, build):
+def test_odd_line_read_in_one_block_within_a_run_reach(monkeypatch, build, spelling, place):
+    # one line of a written file respelled: the per-line reader gets one
+    # block of whole consecutive lines that holds it and spans at most one
+    # run's reach (n + 1 lines of two widest ids) plus one line, and every
+    # run outside that block is still taken whole
     X = build(cyclic_group(240))
-    text = format_graph(X)
+    clean = format_graph(X)
+    top, rows = rows_by_head(clean)
+    edges = clean.splitlines()[2:]
+    i = odd_line_places(edges)[place]
+    pieces = [ln + "\n" for ln in edges]
+    pieces[i] = ODD_SPELLINGS[spelling](edges[i])
+    text = "\n".join(top) + "\n" + "".join(pieces)
     read = lines_read_one_at_a_time(monkeypatch)
-    assert parse_graph(text) == X
-    assert read == []
-    # a line ended by \r\n, and only that line, goes to the per-line reader
+    reduced = rows_reduced(monkeypatch)
+    assert parse_graph(text) == reference_parse_graph(text) == X
+
+    j = len(top) + i  # the odd line among text.splitlines()
     lines = text.splitlines()
-    respelled = (2, len(lines) // 2, len(lines) - 1)  # edge lines only
-    ends = ["\r\n" if i in respelled else "\n" for i in range(len(lines))]
-    read.clear()
-    assert parse_graph("".join(map(str.__add__, lines, ends))) == X
-    assert read == [lines[i] for i in respelled]
+    start = next(
+        a for a in range(max(0, j - len(read) + 1), j + 1) if lines[a : a + len(read)] == read
+    )
+    reach = (X.n + 1) * (2 * len(str(X.n)) + 2)
+    ends = text.splitlines(keepends=True)
+    assert sum(map(len, ends[start : start + len(read) - 1])) <= reach
+
+    block, odd_head = set(read), edges[i].split()[0]
+    outside = {
+        sum(1 << int(ln.split()[1]) for ln in run)
+        for u, run in rows.items()
+        if u != odd_head and block.isdisjoint(run)
+    }
+    # at most one more: the rest of the run the block's end cuts
+    assert outside <= set(reduced)
+    assert len(reduced) <= len(outside) + 1
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
