@@ -112,6 +112,8 @@ def graph_iso_nilpotent(X1, X2, kind: str) -> bool:
 
 
 def _recolor_by_out_degree(D: ColoredDiGraph) -> ColoredDiGraph:
+    if D.n == 0:
+        raise PipelineError("empty graph")
     if loopless := [v for v, m in enumerate(D.out_masks) if not m >> v & 1]:
         raise PipelineError(
             "directed power graphs have a self-loop at every vertex; "

@@ -582,6 +582,18 @@ class TestIso:
             "of a nilpotent group: per-prime component sizes multiply to 12, not 6\n"
         )
 
+    @pytest.mark.parametrize("sizes, at", [((1, 0), 2), ((0, 1), 1), ((0, 0), 1)])
+    def test_empty_dpow_refused_naming_its_input(self, tmp_path, capsys, sizes, at):
+        # refused by position, as the undirected kinds refuse "graph 0"
+        texts = {0: "digraph 0\nnocolors\n", 1: "digraph 1\nnocolors\n0 0\n"}
+        files = []
+        for i, size in enumerate(sizes):
+            files.append(tmp_path / f"d{i}.txt")
+            files[-1].write_text(texts[size])
+        assert run("iso", *map(str, files), "--kind", "dpow") == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: input {at}: empty graph\n")
+
     def test_dpow_files_with_different_arc_counts(self, tmp_path, capsys):
         # dropping "5 0" moves vertex 5's out-degree from 6 to 5, a color
         # no Sylow part holds, so only the color multisets differ

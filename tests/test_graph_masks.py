@@ -738,6 +738,53 @@ def test_bits_picks_the_items_at_the_set_bits(mask, extra, data):
     assert bits(0, items) == []
 
 
+@st.composite
+def wide_masks(draw):
+    """Masks below widths up to 4,001: 0-12 set bits anywhere, or a set-bit
+    count either side of one in 16 of the width with the top bit set."""
+    width = draw(st.integers(1, 4001))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        k = min(width, draw(st.integers(0, 12)))
+        return sum(1 << v for v in rng.sample(range(width), k))
+    k = min(width, draw(st.integers(max(1, width // 16 - 2), width // 16 + 2)))
+    return 1 << width - 1 | sum(1 << v for v in rng.sample(range(width - 1), k - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_masks())
+def test_bits_lists_sparse_and_dense_masks_alike(mask):
+    items = [f"v{i}" for i in range(mask.bit_length() + 3)]
+    expected = reference_bits(mask)
+    assert bits(mask) == expected
+    assert bits(mask, items) == [items[i] for i in expected]
+    assert bits(mask, tuple(items)) == bits(mask, items)
+
+
+def test_bits_lists_a_single_top_bit():
+    names = list(map(str, range(4001)))
+    assert bits(1 << 4000) == [4000]
+    assert bits(1 << 4000, names) == bits(1 << 4000, tuple(names)) == ["4000"]
+
+
+def test_bits_lists_a_sparse_mask_without_its_digit_string(monkeypatch):
+    # a sparse mask costs a step per set bit; only a dense one is read
+    # through its digit string, once
+    calls = []
+
+    def counted_bin(mask):
+        calls.append(mask)
+        return bin(mask)
+
+    monkeypatch.setattr(graph_core, "bin", counted_bin, raising=False)
+    names = list(map(str, range(4000)))
+    assert bits(1 << 3999 | 1) == [0, 3999]
+    assert bits(1 << 3999 | 1, names) == ["0", "3999"]
+    assert calls == []
+    assert bits((1 << 64) - 1) == list(range(64))
+    assert len(calls) == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 255), max_size=8))
 def test_transpose_reverses_each_arc(masks):
